@@ -3,8 +3,9 @@
 Times a *warm-trace* design-space grid — 1000 generated machines
 (:func:`repro.campaign.generator.generate_machines`) x the six-workload
 campaign mix — two ways.  The **naive** baseline is what a campaign
-engine replaces: loop over machines one at a time, replaying each
-workload's trace independently per machine (6000 separate replays).
+engine replaces: loop over machines one at a time, profiling each
+(workload, machine) pair with its own ``profile_trace`` call (6000
+separate fused replays of one machine each).
 The **campaign** path is the engine's schedule: machines sorted by
 :func:`~repro.campaign.generator.structure_key` so same-geometry
 configs are adjacent, then one fused batch per workload sharing
@@ -27,7 +28,7 @@ import time
 
 from repro.campaign import generate_machines, structure_key
 from repro.perf.trace_cache import TraceCache
-from repro.perf.trace_engine import profile_trace_batch
+from repro.perf.trace_engine import profile_trace, profile_trace_batch
 from repro.workloads.spec import get_workload
 
 WORKLOADS = (
@@ -54,14 +55,12 @@ def _naive_sweep(machines, cache):
     for workload in WORKLOADS:
         spec = get_workload(workload)
         for machine in machines:
-            reports.extend(
-                profile_trace_batch(
+            reports.append(
+                profile_trace(
                     spec,
-                    [machine],
+                    machine,
                     instructions=TRACE_INSTRUCTIONS,
                     kernel="vector",
-                    seed_scope="geometry",
-                    replay="independent",
                     trace_cache=cache,
                 )
             )
@@ -79,8 +78,6 @@ def _campaign_sweep(machines, cache):
                 ordered,
                 instructions=TRACE_INSTRUCTIONS,
                 kernel="vector",
-                seed_scope="geometry",
-                replay="fused",
                 trace_cache=cache,
             )
         )

@@ -1,11 +1,11 @@
-"""Benchmark — vectorized vs. scalar trace-engine kernels.
+"""Benchmark — fast vs. scalar trace-engine kernels.
 
 Times ``profile_trace`` end-to-end at the study's full trace length
 (200k instructions) with the scalar per-access oracle and with the
-vectorized batch kernels (:mod:`repro.uarch.kernels`), asserting the
-acceptance bar — the vector path is >= 5x faster — and that the two
-reports are metric-for-metric identical, so the speedup is guaranteed
-to be like-for-like.  A full small sweep additionally pins down
+``vector`` kernel — fused replay (:mod:`repro.uarch.fused`) of a batch
+of one — asserting the acceptance bar — the vector path is >= 5x
+faster — and that the two reports are metric-for-metric identical, so
+the speedup is guaranteed to be like-for-like.  A full small sweep additionally pins down
 bit-identical feature-matrix digests across kernels.
 """
 
@@ -22,8 +22,8 @@ WORKLOAD = "505.mcf_r"
 MACHINE = "skylake-i7-6700"
 TRACE_INSTRUCTIONS = 200_000
 
-#: The tentpole acceptance bar: end-to-end profile_trace speedup of the
-#: vector kernels over the scalar oracle at the full trace length.
+#: The acceptance bar: end-to-end profile_trace speedup of the vector
+#: kernel over the scalar oracle at the full trace length.
 SPEEDUP_FLOOR = 5.0
 
 

@@ -39,15 +39,9 @@ obs top`` summarizes as hottest-spans/frames tables.
 
 The profiling subcommands (``profile``, ``dataset``, ``export``)
 additionally accept ``--jobs N`` / ``--backend`` (parallel sweep),
-``--trace-kernel {scalar,vector}`` (trace-engine kernels: the
-vectorized batch kernels or the bit-identical scalar oracle;
-``$REPRO_TRACE_KERNEL`` supplies the default), ``--trace-seed-scope
-{geometry,machine}`` (trace identity: geometry-shared traces with
-paired replay, or the historical machine-salted seeds;
-``$REPRO_TRACE_SEED_SCOPE`` supplies the default), ``--replay
-{independent,fused}`` (multi-machine trace replay: fused batch
-simulation over one shared set partition, or the bit-identical
-independent per-pair replay; ``$REPRO_REPLAY`` supplies the default)
+``--trace-kernel {scalar,vector}`` (trace-engine implementation: fused
+batch replay or the bit-identical scalar per-access oracle;
+``$REPRO_TRACE_KERNEL`` supplies the default),
 ``--cache-dir`` / ``--no-disk-cache`` / ``--cache-clear``
 (persistent result cache; ``$REPRO_CACHE_DIR`` supplies a default
 root) and ``--serve-port N`` (live telemetry over HTTP while the
@@ -89,8 +83,8 @@ SUITE_ALIASES = {
 #: explicitly (deriving them by slicing sorted aliases was fragile).
 SPEC2017_SUBSUITE_ALIASES = ("rate-int", "rate-fp", "speed-int", "speed-fp")
 
-#: Default campaign workload mix: the fused-replay benchmark's six
-#: workloads, spanning the memory/branch/compute behaviour spectrum.
+#: Default campaign workload mix: six workloads spanning the
+#: memory/branch/compute behaviour spectrum.
 CAMPAIGN_WORKLOADS = (
     "505.mcf_r",
     "500.perlbench_r",
@@ -179,33 +173,9 @@ def _exec_options() -> argparse.ArgumentParser:
         choices=("scalar", "vector"),
         default=None,
         help=(
-            "trace-engine simulation kernels: vectorized batch kernels "
-            "or the bit-identical scalar oracle "
+            "trace-engine implementation: fused batch replay (vector) "
+            "or the bit-identical per-access scalar oracle "
             "(default: $REPRO_TRACE_KERNEL, else vector)"
-        ),
-    )
-    group.add_argument(
-        "--trace-seed-scope",
-        choices=("geometry", "machine"),
-        default=None,
-        dest="trace_seed_scope",
-        help=(
-            "trace identity: 'geometry' shares one synthesized trace "
-            "across machines with equal (line, page) geometry (paired "
-            "replay); 'machine' keeps the historical machine-salted "
-            "seeds bit-exactly "
-            "(default: $REPRO_TRACE_SEED_SCOPE, else geometry)"
-        ),
-    )
-    group.add_argument(
-        "--replay",
-        choices=("independent", "fused"),
-        default=None,
-        help=(
-            "trace-engine multi-machine replay: 'fused' simulates whole "
-            "machine batches over one shared set partition per trace; "
-            "'independent' replays every pair on its own (bit-identical) "
-            "(default: $REPRO_REPLAY, else fused)"
         ),
     )
     group.add_argument(
@@ -611,9 +581,7 @@ def _make_profiler(args: argparse.Namespace, engine: str = "analytic"):
         cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or None
     profiler = Profiler(engine=getattr(args, "engine", engine),
                         cache_dir=cache_dir,
-                        trace_kernel=getattr(args, "trace_kernel", None),
-                        seed_scope=getattr(args, "trace_seed_scope", None),
-                        replay=getattr(args, "replay", None))
+                        trace_kernel=getattr(args, "trace_kernel", None))
     if args.cache_clear and profiler.disk_cache is not None:
         removed = profiler.disk_cache.clear()
         print(f"cleared {removed} cached profiles from "
@@ -813,8 +781,6 @@ def _campaign_profiler(args: argparse.Namespace, config):
         seed=config.seed,
         cache_dir=cache_dir,
         trace_kernel=getattr(args, "trace_kernel", None),
-        seed_scope=getattr(args, "trace_seed_scope", None),
-        replay=getattr(args, "replay", None),
     )
     if args.cache_clear and profiler.disk_cache is not None:
         removed = profiler.disk_cache.clear()

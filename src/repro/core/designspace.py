@@ -143,19 +143,18 @@ def evaluate_design_space(
     prefilled through the parallel executor first; the evaluation then
     reads the profiler cache, so results match the serial path exactly.
 
-    Under the trace engine with the default ``geometry`` seed scope,
-    baseline and variants replay the *same* synthesized trace whenever
+    Under the trace engine, baseline and variants replay the *same* synthesized trace whenever
     a variant keeps the baseline's (line_bytes, page_bytes) — the
     paired-replay / common-random-numbers design: speedups compare the
     two configs on identical streams, so they carry no synthesis noise
     and are invariant to the base seed (a latency-only variant's
     speedup reflects only the structural change).
 
-    With the default ``fused`` replay (see :mod:`repro.uarch.fused`),
-    trace-engine evaluations prefill through the executor even at
-    ``jobs=1`` so every workload's variant batch is simulated over one
-    shared set partition — bit-identical to per-pair replay, several
-    times faster on geometry-sharing variants.
+    With the default ``vector`` trace kernel (fused replay, see
+    :mod:`repro.uarch.fused`), trace-engine evaluations prefill through
+    the executor even at ``jobs=1`` so every workload's variant batch is
+    simulated over one shared set partition — bit-identical to per-pair
+    replay, several times faster on geometry-sharing variants.
     """
     if not variants:
         raise AnalysisError("need at least one design variant")

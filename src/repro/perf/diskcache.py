@@ -152,21 +152,13 @@ def cache_key(
     trace_instructions: int,
     seed: int,
     trace_kernel: str = "vector",
-    seed_scope: str = "geometry",
-    replay: str = "fused",
 ) -> str:
     """Content hash of everything that determines one profile result.
 
     ``trace_kernel`` is keyed for the trace engine even though the
     scalar and vector kernels are bit-identical by contract: separate
     entries mean a hypothetical kernel divergence can never be masked
-    by a result the other kernel persisted.  ``seed_scope`` is keyed
-    because it changes the synthesized trace (geometry-shared vs.
-    machine-salted seeds) and therefore every trace-engine metric.
-    ``replay`` (fused vs. independent multi-machine replay) is keyed for
-    the same reason as ``trace_kernel``: the strategies are bit-identical
-    by contract, and keeping their entries separate means a divergence
-    can never hide behind the other strategy's persisted result.
+    by a result the other kernel persisted.
     """
     payload = {
         "schema": SCHEMA_VERSION,
@@ -182,8 +174,6 @@ def cache_key(
                 "instructions": trace_instructions,
                 "seed": seed,
                 "kernel": trace_kernel,
-                "seed_scope": seed_scope,
-                "replay": replay,
             }
             if engine == "trace"
             else {}

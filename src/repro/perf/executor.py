@@ -87,16 +87,17 @@ _CHUNKS_PER_WORKER = 4
 
 Pair = Tuple[WorkloadSpec, MachineConfig]
 
-# Worker payload: engine parameters (including the replay strategy)
-# plus the chunk's pairs, tagged with the chunk index so results can be
-# reassembled deterministically, the sweep's trace context (or None
-# while tracing is off), the submitting process's pid (lets a worker
-# tell process from thread dispatch even when tracing is off), the
-# resource profile mode for process workers, the live-telemetry queue
-# proxy (or None while the hub is off / backend is threaded), and the
-# submit-time wall clock for the queue-wait histogram.
+# Worker payload: engine parameters (engine, window, seed, trace
+# kernel) plus the chunk's pairs, tagged with the chunk index so
+# results can be reassembled deterministically, the sweep's trace
+# context (or None while tracing is off), the submitting process's pid
+# (lets a worker tell process from thread dispatch even when tracing is
+# off), the resource profile mode for process workers, the
+# live-telemetry queue proxy (or None while the hub is off / backend is
+# threaded), and the submit-time wall clock for the queue-wait
+# histogram.
 _ChunkPayload = Tuple[
-    int, str, int, int, Optional[str], str, Optional[str], List[Pair],
+    int, str, int, int, str, List[Pair],
     Optional[TraceContext], int, str, Optional[object], Optional[float],
 ]
 
@@ -165,25 +166,14 @@ def _pair_label(spec: WorkloadSpec, config: MachineConfig) -> str:
     return f"{spec.name}@{config.name}"
 
 
-def _fused_batching(
-    engine: str, trace_kernel: Optional[str], replay: Optional[str]
-) -> bool:
+def _fused_batching(engine: str, trace_kernel: str) -> bool:
     """True when same-workload runs should go through the fused engine.
 
-    Fused replay exists only for the trace engine's vector kernels;
-    every other combination keeps the historical per-pair computation
-    (and its per-pair ``profile`` spans) so the independent path stays
-    byte-identical to earlier releases.
+    Fused replay is the trace engine's vector kernel; the analytic
+    engine and the scalar oracle keep the per-pair computation (and its
+    per-pair ``profile`` spans).
     """
-    if engine != "trace":
-        return False
-    from repro.uarch.fused import resolve_replay
-    from repro.uarch.kernels import resolve_trace_kernel
-
-    return (
-        resolve_trace_kernel(trace_kernel) == "vector"
-        and resolve_replay(replay) == "fused"
-    )
+    return engine == "trace" and trace_kernel == "vector"
 
 
 def _profile_chunk(
@@ -205,8 +195,6 @@ def _profile_chunk(
         trace_instructions,
         seed,
         trace_kernel,
-        seed_scope,
-        replay,
         pairs,
         context,
         parent_pid,
@@ -283,7 +271,7 @@ def _profile_chunk(
         )
     outcomes: List[Tuple[str, object]] = []
     with opener:
-        if _fused_batching(engine, trace_kernel, replay):
+        if _fused_batching(engine, trace_kernel):
             # workload_chunks keeps same-workload pairs adjacent, so
             # contiguous runs hand whole machine batches to the fused
             # engine; a failing batch is marshalled as one error per
@@ -303,8 +291,6 @@ def _profile_chunk(
                         trace_instructions=trace_instructions,
                         seed=seed,
                         trace_kernel=trace_kernel,
-                        seed_scope=seed_scope,
-                        replay=replay,
                     )
                 except KeyboardInterrupt:
                     raise
@@ -338,8 +324,6 @@ def _profile_chunk(
                         trace_instructions=trace_instructions,
                         seed=seed,
                         trace_kernel=trace_kernel,
-                        seed_scope=seed_scope,
-                        replay=replay,
                     )
                 except KeyboardInterrupt:
                     raise
@@ -529,9 +513,8 @@ class ProfilingExecutor:
         results: List[Optional[CounterReport]],
         ticker,
     ) -> None:
-        trace_kernel = getattr(self.profiler, "trace_kernel", None)
-        replay = getattr(self.profiler, "replay", None)
-        if _fused_batching(self.profiler.engine, trace_kernel, replay):
+        trace_kernel = self.profiler.trace_kernel
+        if _fused_batching(self.profiler.engine, trace_kernel):
             # Group pending pairs by workload (stable first-appearance
             # order, mirroring workload_chunks) so each multi-machine
             # group goes through the fused engine in one call.  Results
@@ -562,8 +545,6 @@ class ProfilingExecutor:
                         trace_instructions=self.profiler.trace_instructions,
                         seed=self.profiler.seed,
                         trace_kernel=trace_kernel,
-                        seed_scope=getattr(self.profiler, "seed_scope", None),
-                        replay=replay,
                     )
                 except KeyboardInterrupt:
                     raise
@@ -596,9 +577,7 @@ class ProfilingExecutor:
                 self.profiler.engine,
                 trace_instructions=self.profiler.trace_instructions,
                 seed=self.profiler.seed,
-                trace_kernel=getattr(self.profiler, "trace_kernel", None),
-                seed_scope=getattr(self.profiler, "seed_scope", None),
-                replay=getattr(self.profiler, "replay", None),
+                trace_kernel=self.profiler.trace_kernel,
             )
         except KeyboardInterrupt:
             raise
@@ -645,9 +624,7 @@ class ProfilingExecutor:
                     self.profiler.engine,
                     self.profiler.trace_instructions,
                     self.profiler.seed,
-                    getattr(self.profiler, "trace_kernel", None),
-                    getattr(self.profiler, "seed_scope", "geometry"),
-                    getattr(self.profiler, "replay", None),
+                    self.profiler.trace_kernel,
                     [pending[i] for i in indices],
                     context,
                     os.getpid(),
@@ -686,7 +663,7 @@ class ProfilingExecutor:
                             )
                             if hub is not None:
                                 hub.chunk_submitted(
-                                    payload[0], len(payload[7])
+                                    payload[0], len(payload[5])
                                 )
                         peak = max(peak, len(futures))
                         if not futures:

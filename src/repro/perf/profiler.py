@@ -91,19 +91,14 @@ def compute_report(
     trace_instructions: int = 200_000,
     seed: int = 2017,
     trace_kernel: Optional[str] = None,
-    seed_scope: Optional[str] = None,
-    replay: Optional[str] = None,
 ) -> CounterReport:
     """Run one engine on one (workload, machine) pair, uncached.
 
     Module-level (hence picklable by reference) so pool workers and the
     serial path share the exact same computation, spans included.
-    ``trace_kernel`` selects the trace engine's simulation kernels
-    (``"vector"``/``"scalar"``; ``None`` means the session default),
-    ``seed_scope`` the trace identity (``"geometry"``/``"machine"``;
-    ``None`` means the session default) and ``replay`` the multi-machine
-    replay strategy (``"fused"``/``"independent"``; ``None`` means the
-    session default); all three are ignored by the analytic engine.
+    ``trace_kernel`` selects the trace engine's implementation
+    (``"vector"`` fused replay or the ``"scalar"`` oracle; ``None``
+    means the session default) and is ignored by the analytic engine.
     """
     with span(
         "profile",
@@ -123,8 +118,6 @@ def compute_report(
             instructions=trace_instructions,
             seed=seed,
             kernel=trace_kernel,
-            seed_scope=seed_scope,
-            replay=replay,
         )
 
 
@@ -135,18 +128,17 @@ def compute_reports(
     trace_instructions: int = 200_000,
     seed: int = 2017,
     trace_kernel: Optional[str] = None,
-    seed_scope: Optional[str] = None,
-    replay: Optional[str] = None,
 ) -> List[CounterReport]:
     """Run one engine on one workload across a batch of machines.
 
     The batched sibling of :func:`compute_report`: for the trace engine
     this hands the whole machine batch to
     :func:`repro.perf.trace_engine.profile_trace_batch`, which under
-    fused replay set-partitions each shared trace once and replays all
-    machines' tag arrays together (bit-identical to the per-pair path).
-    Other engines, and single-machine batches, fall back to per-pair
-    :func:`compute_report` calls so their span shapes are unchanged.
+    the vector kernel set-partitions each shared trace once and replays
+    all machines' tag arrays together (bit-identical to the per-pair
+    path).  Other engines, and single-machine batches, fall back to
+    per-pair :func:`compute_report` calls so their span shapes are
+    unchanged.
     """
     if engine != "trace" or len(configs) <= 1:
         return [
@@ -157,8 +149,6 @@ def compute_reports(
                 trace_instructions=trace_instructions,
                 seed=seed,
                 trace_kernel=trace_kernel,
-                seed_scope=seed_scope,
-                replay=replay,
             )
             for config in configs
         ]
@@ -176,8 +166,6 @@ def compute_reports(
             instructions=trace_instructions,
             seed=seed,
             kernel=trace_kernel,
-            seed_scope=seed_scope,
-            replay=replay,
         )
 
 
@@ -195,31 +183,22 @@ class Profiler:
         Base RNG seed for trace synthesis (ignored by the analytic
         engine); results stay deterministic per (workload, machine).
     trace_kernel:
-        Trace-engine simulation kernels: ``"vector"`` (batched, the
-        default) or ``"scalar"`` (per-access reference oracle); the two
-        are bit-identical.  ``None`` resolves to the session default
+        Trace-engine implementation: ``"vector"`` (fused batch replay,
+        the default) or ``"scalar"`` (per-access reference oracle); the
+        two are bit-identical.  ``None`` resolves to the session default
         (``$REPRO_TRACE_KERNEL`` or ``"vector"``).  Ignored by the
-        analytic engine.
-    seed_scope:
-        Trace identity for the trace engine (see
-        :mod:`repro.perf.trace_cache`): ``"geometry"`` shares one
-        synthesized trace across machines with equal (line_bytes,
-        page_bytes); ``"machine"`` keeps the historical machine-salted
-        seeds bit-exactly.  ``None`` resolves to the session default
-        (``$REPRO_TRACE_SEED_SCOPE`` or ``"geometry"``).  Ignored by
-        the analytic engine.
-    replay:
-        Multi-machine replay strategy for the trace engine (see
-        :mod:`repro.uarch.fused`): ``"fused"`` simulates whole machine
-        batches over one shared set partition per trace; ``"independent"``
-        replays every (workload, machine) pair on its own.  The two are
-        bit-identical.  ``None`` resolves to the session default
-        (``$REPRO_REPLAY`` or ``"fused"``).  Ignored by the analytic
-        engine.
+        analytic engine.  It is the trace engine's only knob: every
+        machine sharing a (line_bytes, page_bytes) geometry replays the
+        same synthesized trace (see :mod:`repro.perf.trace_cache`).
     cache_dir:
         Root of a persistent on-disk result cache; ``None`` (default)
         keeps caching purely in-process.
     """
+
+    # The trace engine's fixed trace identity and replay strategy,
+    # readable as attributes because e2ebench/run.py prints them.
+    seed_scope = "geometry"
+    replay = "fused"
 
     def __init__(
         self,
@@ -228,8 +207,6 @@ class Profiler:
         seed: int = 2017,
         cache_dir: Optional[Union[str, Path]] = None,
         trace_kernel: Optional[str] = None,
-        seed_scope: Optional[str] = None,
-        replay: Optional[str] = None,
     ) -> None:
         if engine not in _ENGINES:
             raise ConfigurationError(
@@ -239,16 +216,12 @@ class Profiler:
             raise ConfigurationError(
                 f"instructions must be > 0, got {trace_instructions}"
             )
-        from repro.perf.trace_cache import resolve_seed_scope
-        from repro.uarch.fused import resolve_replay
         from repro.uarch.kernels import resolve_trace_kernel
 
         self.engine = engine
         self.trace_instructions = trace_instructions
         self.seed = seed
         self.trace_kernel = resolve_trace_kernel(trace_kernel)
-        self.seed_scope = resolve_seed_scope(seed_scope)
-        self.replay = resolve_replay(replay)
         self.disk_cache: Optional[DiskCache] = (
             DiskCache(cache_dir) if cache_dir is not None else None
         )
@@ -270,8 +243,6 @@ class Profiler:
             self.trace_instructions,
             self.seed,
             trace_kernel=self.trace_kernel,
-            seed_scope=self.seed_scope,
-            replay=self.replay,
         )
 
     def lookup(
@@ -346,8 +317,6 @@ class Profiler:
             trace_instructions=self.trace_instructions,
             seed=self.seed,
             trace_kernel=self.trace_kernel,
-            seed_scope=self.seed_scope,
-            replay=self.replay,
         )
         self.adopt(spec, config, report)
         if obs_live.hub_active():

@@ -7,23 +7,18 @@ Historically the synthesis seed also mixed in the machine **name**, so
 the 43-workload x 7-machine study re-synthesized ~301 traces even
 though the seven paper machines span only two geometries.
 
-This module makes trace identity explicit and configurable:
+This module makes trace identity explicit:
 
-* **Seed scope** — ``"geometry"`` (the default) derives the synthesis
-  seed from ``(seed, workload, instructions, line_bytes, page_bytes)``,
-  so every machine or design variant sharing a geometry replays *the
-  same* trace.  That is the common-random-numbers pairing used by
+* **Trace seed** — :func:`trace_seed` derives the synthesis seed from
+  ``(seed, workload, instructions, line_bytes, page_bytes)``, so every
+  machine or design variant sharing a geometry replays *the same*
+  trace.  That is the common-random-numbers pairing used by
   design-space studies: baseline and variant see identical streams, so
-  speedup rankings carry no synthesis noise.  ``"machine"`` keeps the
-  historical machine-salted seed bit-exactly (one trace per pair).
-  The scope is selected per call, per :class:`~repro.perf.profiler.
-  Profiler`, via ``--trace-seed-scope`` on the CLI, or session-wide
-  through ``$REPRO_TRACE_SEED_SCOPE``.
+  speedup rankings carry no synthesis noise.
 
 * :class:`TraceCache` — a bounded, byte-accounted, thread-safe LRU of
   synthesized traces keyed by trace identity.  A 7-machine sweep then
-  performs exactly one synthesis per distinct (workload, geometry);
-  with the machine scope the cache still deduplicates exact repeats.
+  performs exactly one synthesis per distinct (workload, geometry).
   Cached arrays are frozen (non-writeable) so concurrent replays can
   never corrupt a shared trace.
 
@@ -73,16 +68,11 @@ from repro.workloads.spec import WorkloadSpec
 from repro.workloads.synthesis import SyntheticTrace, synthesize_trace
 
 __all__ = [
-    "SEED_SCOPES",
-    "SEED_SCOPE_ENV",
     "CACHE_BYTES_ENV",
     "SPILL_DIR_ENV",
     "SPILL_BYTES_ENV",
     "DEFAULT_CAPACITY_BYTES",
     "DEFAULT_SPILL_CAPACITY_BYTES",
-    "validate_seed_scope",
-    "default_seed_scope",
-    "resolve_seed_scope",
     "trace_seed",
     "trace_key",
     "machine_geometry",
@@ -90,15 +80,6 @@ __all__ = [
     "TraceCache",
     "default_trace_cache",
 ]
-
-#: Trace seed scopes: ``geometry`` shares one trace per (workload,
-#: line_bytes, page_bytes); ``machine`` reproduces the historical
-#: machine-salted seeds bit-exactly.
-SEED_SCOPES = ("geometry", "machine")
-
-#: Environment variable overriding the default seed scope (used by the
-#: CI leg that runs the whole suite against the machine-salted oracle).
-SEED_SCOPE_ENV = "REPRO_TRACE_SEED_SCOPE"
 
 #: Environment variable overriding the default cache capacity in bytes.
 CACHE_BYTES_ENV = "REPRO_TRACE_CACHE_BYTES"
@@ -140,30 +121,6 @@ def _spill_dirname(key: tuple) -> str:
     return hashlib.sha256(repr(key).encode()).hexdigest()[:32]
 
 
-def validate_seed_scope(scope: str) -> str:
-    """Return ``scope`` if it names a known seed scope, else raise."""
-    if scope not in SEED_SCOPES:
-        raise ConfigurationError(
-            f"unknown trace seed scope {scope!r}; expected one of {SEED_SCOPES}"
-        )
-    return scope
-
-
-def default_seed_scope() -> str:
-    """The session default: ``$REPRO_TRACE_SEED_SCOPE``, else ``"geometry"``."""
-    value = os.environ.get(SEED_SCOPE_ENV)
-    if value:
-        return validate_seed_scope(value)
-    return "geometry"
-
-
-def resolve_seed_scope(scope: Optional[str] = None) -> str:
-    """Resolve an optional scope choice: ``None`` means the default."""
-    if scope is None:
-        return default_seed_scope()
-    return validate_seed_scope(scope)
-
-
 def machine_geometry(machine: MachineConfig) -> Tuple[int, int]:
     """The ``(line_bytes, page_bytes)`` pair that shapes a trace."""
     return (machine.l1d.line_bytes, machine.dtlb.page_bytes)
@@ -174,24 +131,17 @@ def trace_seed(
     spec: WorkloadSpec,
     machine: MachineConfig,
     instructions: int,
-    scope: str,
 ) -> int:
-    """The synthesis seed for one profiling call under ``scope``.
+    """The synthesis seed for one profiling call.
 
-    ``machine`` scope reproduces the historical derivation bit-exactly
-    (digest of ``base:workload:machine-name``); ``geometry`` scope
-    hashes exactly what determines the trace — workload, window length
+    Hashes exactly what determines the trace — workload, window length
     and (line_bytes, page_bytes) — so equal-geometry machines share a
     seed and hence a trace.
     """
-    validate_seed_scope(scope)
-    if scope == "machine":
-        text = f"{base}:{spec.name}:{machine.name}"
-    else:
-        line_bytes, page_bytes = machine_geometry(machine)
-        text = (
-            f"{base}:{spec.name}:{instructions}:{line_bytes}:{page_bytes}"
-        )
+    line_bytes, page_bytes = machine_geometry(machine)
+    text = (
+        f"{base}:{spec.name}:{instructions}:{line_bytes}:{page_bytes}"
+    )
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "little")
 

@@ -7,6 +7,11 @@ TLB hierarchy and a real branch predictor — then assembles the same
 :class:`~repro.perf.counters.CounterReport` the analytic engine
 produces.
 
+There are two implementations, selected by the ``kernel`` knob: the
+scalar per-access reference oracle (``"scalar"``) and fused batch
+replay (``"vector"``, the default; :mod:`repro.uarch.fused`).  They
+produce bit-identical reports.
+
 Scope notes (documented deviations, shared with the analytic engine):
 
 * Instruction and data streams do not contend for the shared L2/L3;
@@ -21,24 +26,16 @@ Scope notes (documented deviations, shared with the analytic engine):
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.perf.counters import CounterReport, Metric
-from repro.perf.trace_cache import (
-    TraceCache,
-    default_trace_cache,
-    resolve_seed_scope,
-    trace_seed,
-)
+from repro.perf.trace_cache import TraceCache, default_trace_cache, trace_seed
 from repro.uarch.branch import build_predictor
 from repro.uarch.cache import Cache
-from repro.uarch.fused import FusedCounts, replay_fused, resolve_replay
+from repro.uarch.fused import FusedCounts, replay_fused
 from repro.uarch.kernels import resolve_trace_kernel
 from repro.uarch.machine import MachineConfig
 from repro.uarch.pipeline import compute_cpi_stack
@@ -57,9 +54,8 @@ __all__ = [
 #: are the single source of truth for the calibration tests in
 #: ``tests/test_trace_engine.py`` — recorded here, next to the engine,
 #: so a model change that widens the gap is an explicit edit, not a
-#: scattered magic-number tweak.  The envelope covers both trace seed
-#: scopes (``geometry`` and ``machine``): CI replays the whole suite
-#: under each, so every bound has been validated against both streams.
+#: scattered magic-number tweak.  The scalar and vector kernels are
+#: bit-identical, so one envelope holds for both.
 ENGINE_AGREEMENT_TOLERANCES = {
     "l1d_mpki": {"rel": 0.25, "abs": 1.5},
     "l1i_mpki": {"rel": 0.8, "abs": 2.0},
@@ -67,12 +63,6 @@ ENGINE_AGREEMENT_TOLERANCES = {
     "branch_mpki": {"factor": 5.0},
     "l1_dtlb_mpmi": {"factor": 2.0},
 }
-
-
-def _stable_seed(base: int, workload: str, machine: str) -> int:
-    """Historical machine-salted seed (the ``machine`` scope formula)."""
-    digest = hashlib.sha256(f"{base}:{workload}:{machine}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
 
 
 def _build_chain(machine: MachineConfig, first_level: str) -> list:
@@ -111,8 +101,8 @@ def _assemble_report(
 ) -> CounterReport:
     """Assemble a :class:`CounterReport` from raw post-warm-up counts.
 
-    Both replay modes funnel through this single assembly, so a fused
-    and an independent replay that count the same events produce
+    The scalar oracle and fused replay both funnel through this single
+    assembly, so two paths that count the same events produce
     bit-identical reports by construction.
     """
     factor = machine.isa_path_factor
@@ -193,6 +183,17 @@ def _assemble_report(
     )
 
 
+def _validate_window(instructions: int, warmup_fraction: float) -> None:
+    if instructions <= 0:
+        raise ConfigurationError(
+            f"instructions must be > 0, got {instructions}"
+        )
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ConfigurationError(
+            f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
+        )
+
+
 def profile_trace(
     spec: WorkloadSpec,
     machine: MachineConfig,
@@ -200,8 +201,6 @@ def profile_trace(
     seed: int = 2017,
     warmup_fraction: float = 0.25,
     kernel: Optional[str] = None,
-    seed_scope: Optional[str] = None,
-    replay: Optional[str] = None,
     trace_cache: Optional[TraceCache] = None,
 ) -> CounterReport:
     """Profile one workload on one machine by exact simulation.
@@ -211,100 +210,59 @@ def profile_trace(
     compulsory cold-start misses do not distort the steady-state rates
     the analytic engine models.
 
-    ``kernel`` selects the simulation implementation: ``"vector"`` (the
-    batch kernels of :mod:`repro.uarch.kernels`), ``"scalar"`` (the
-    per-access reference oracle) or ``None`` for the session default
+    ``kernel`` selects the implementation: ``"vector"`` profiles the
+    machine as a batch of one through :func:`profile_trace_batch`
+    (fused replay, :mod:`repro.uarch.fused`); ``"scalar"`` runs the
+    per-access reference oracle (:class:`~repro.uarch.cache.Cache`,
+    :class:`~repro.uarch.tlb.TlbHierarchy` and the predictors one
+    access at a time); ``None`` takes the session default
     (``$REPRO_TRACE_KERNEL``, else vector).  The two kernels produce
     bit-identical reports.
 
-    ``seed_scope`` selects the trace identity (see
-    :mod:`repro.perf.trace_cache`): ``"geometry"`` (default) shares one
-    synthesized trace across every machine with equal (line_bytes,
-    page_bytes) — the common-random-numbers pairing; ``"machine"``
-    keeps the historical machine-salted seeds bit-exactly.  ``None``
-    resolves via ``$REPRO_TRACE_SEED_SCOPE``.  ``trace_cache`` is the
-    :class:`~repro.perf.trace_cache.TraceCache` to replay from (the
-    process-wide default when ``None``).
-
-    ``replay`` selects the replay strategy (see
-    :mod:`repro.uarch.fused`): ``"fused"`` (default) routes through the
-    shared-pass batch engine (as a batch of one here; sweeps batch
-    machines per workload), ``"independent"`` keeps the historical
-    one-machine-at-a-time replay, and ``None`` resolves via
-    ``$REPRO_REPLAY``.  The modes are bit-identical; a ``scalar``
-    kernel always replays independently.
+    The trace replayed is the one :func:`~repro.perf.trace_cache.
+    trace_seed` names, so every machine with equal (line_bytes,
+    page_bytes) geometry replays the same synthesized trace.
+    ``trace_cache`` is the :class:`~repro.perf.trace_cache.TraceCache`
+    to replay from (the process-wide default when ``None``).
     """
-    if instructions <= 0:
-        raise ConfigurationError(
-            f"instructions must be > 0, got {instructions}"
-        )
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError(
-            f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
-        )
-    kernel = resolve_trace_kernel(kernel)
-    seed_scope = resolve_seed_scope(seed_scope)
-    replay = resolve_replay(replay)
-    vector = kernel == "vector"
-    if vector and replay == "fused":
+    _validate_window(instructions, warmup_fraction)
+    if resolve_trace_kernel(kernel) == "vector":
         return profile_trace_batch(
             spec,
             [machine],
             instructions=instructions,
             seed=seed,
             warmup_fraction=warmup_fraction,
-            kernel=kernel,
-            seed_scope=seed_scope,
-            replay=replay,
+            kernel="vector",
             trace_cache=trace_cache,
         )[0]
     obs_metrics.incr("trace_engine.profiles")
     obs_metrics.incr("trace_engine.instructions", instructions)
-    if vector:
-        obs_metrics.incr("trace_engine.kernel_fastpath")
     if trace_cache is None:
         trace_cache = default_trace_cache()
-    effective_seed = trace_seed(seed, spec, machine, instructions, seed_scope)
     with span(
-        "trace.synthesize",
-        workload=spec.name,
-        instructions=instructions,
-        seed_scope=seed_scope,
+        "trace.synthesize", workload=spec.name, instructions=instructions
     ):
         trace = trace_cache.get_or_synthesize(
             spec,
             instructions,
-            seed=effective_seed,
+            seed=trace_seed(seed, spec, machine, instructions),
             line_bytes=machine.l1d.line_bytes,
             page_bytes=machine.dtlb.page_bytes,
         )
-    factor = machine.isa_path_factor
-    measured = instructions * (1.0 - warmup_fraction)
-    ki = measured / 1000.0 * factor  # measured machine kilo-instructions
-    mi = ki / 1000.0
 
     # ---- data caches -------------------------------------------------------
     data_chain = _build_chain(machine, "l1d")
     l1d = data_chain[0]
     warm = int(trace.data_refs * warmup_fraction)
-    with span("trace.dcache", refs=int(trace.data_refs), kernel=kernel):
-        if vector:
-            l1d.access_many(
-                trace.data_addresses,
-                is_write=trace.data_is_store,
-                reset_stats_at=warm,
-            )
-        else:
-            for i, (address, is_store) in enumerate(
-                zip(
-                    trace.data_addresses.tolist(),
-                    trace.data_is_store.tolist(),
-                )
-            ):
-                if i == warm:
-                    for level in data_chain:
-                        level.stats.reset()
-                l1d.access(address, is_write=is_store)
+    with span("trace.dcache", refs=int(trace.data_refs)):
+        for i, (address, is_store) in enumerate(
+            zip(trace.data_addresses.tolist(), trace.data_is_store.tolist())
+        ):
+            if i == warm:
+                for level in data_chain:
+                    level.stats.reset()
+            l1d.access(address, is_write=is_store)
     # Writebacks inflate outer-level accesses but are not demand misses;
     # demand misses are each level's recorded miss count.
     data_misses = [level.stats.misses for level in data_chain]
@@ -313,17 +271,12 @@ def profile_trace(
     inst_chain = _build_chain(machine, "l1i")
     l1i = inst_chain[0]
     warm = int(trace.ifetch_addresses.size * warmup_fraction)
-    with span(
-        "trace.icache", fetches=int(trace.ifetch_addresses.size), kernel=kernel
-    ):
-        if vector:
-            l1i.access_many(trace.ifetch_addresses, reset_stats_at=warm)
-        else:
-            for i, address in enumerate(trace.ifetch_addresses.tolist()):
-                if i == warm:
-                    for level in inst_chain:
-                        level.stats.reset()
-                l1i.access(address)
+    with span("trace.icache", fetches=int(trace.ifetch_addresses.size)):
+        for i, address in enumerate(trace.ifetch_addresses.tolist()):
+            if i == warm:
+                for level in inst_chain:
+                    level.stats.reset()
+            l1i.access(address)
     inst_misses = [level.stats.misses for level in inst_chain]
 
     # ---- TLBs ---------------------------------------------------------------
@@ -335,80 +288,42 @@ def profile_trace(
         walker=machine.walker,
     )
     warm = int(trace.data_refs * warmup_fraction)
-    with span("trace.tlb", kernel=kernel):
-        if vector:
-            # The warm-up cut only zeroes statistics, never entries, so
-            # the batched miss/walk event streams are identical to the
-            # scalar loop's; every counter the scalar path reads off
-            # the hierarchy is recovered from the outcome arrays.
-            warm_i = int(trace.ifetch_addresses.size * warmup_fraction)
-            data_batch = tlbs.translate_data_many(trace.data_addresses)
-            inst_batch = tlbs.translate_inst_many(trace.ifetch_addresses)
-            dtlb_misses = int(np.count_nonzero(data_batch.l1_miss[warm:]))
-            data_walks = int(np.count_nonzero(data_batch.walks[warm:]))
-            itlb_misses = int(np.count_nonzero(inst_batch.l1_miss[warm_i:]))
-            total_walks = data_walks + int(
-                np.count_nonzero(inst_batch.walks[warm_i:])
-            )
-            if tlbs.l2_itlb is None and tlbs.l2_dtlb is None:
-                # Scalar last_level_misses(): post-cut L1 data misses
-                # plus *all* L1 instruction misses (the instruction
-                # phase never resets its own baseline).
-                last_tlb_misses = dtlb_misses + int(
-                    np.count_nonzero(inst_batch.l1_miss)
-                )
-            else:
-                # With an L2 TLB, last-level misses are exactly the
-                # walk events: post-cut for data, all for instructions.
-                last_tlb_misses = data_walks + int(
-                    np.count_nonzero(inst_batch.walks)
-                )
-        else:
-            for i, address in enumerate(trace.data_addresses.tolist()):
-                if i == warm:
-                    _reset_tlb_stats(tlbs)
-                tlbs.translate_data(address)
-            dtlb_misses = tlbs.dtlb.misses
-            data_walks = tlbs.page_walks
-            warm = int(trace.ifetch_addresses.size * warmup_fraction)
-            itlb_baseline_misses = 0
-            walks_baseline = tlbs.page_walks
-            for i, address in enumerate(trace.ifetch_addresses.tolist()):
-                if i == warm:
-                    itlb_baseline_misses = tlbs.itlb.misses
-                    walks_baseline = tlbs.page_walks - data_walks
-                tlbs.translate_inst(address)
-            itlb_misses = tlbs.itlb.misses - itlb_baseline_misses
-            total_walks = data_walks + (
-                tlbs.page_walks - data_walks - walks_baseline
-            )
-            last_tlb_misses = tlbs.last_level_misses()
+    with span("trace.tlb"):
+        for i, address in enumerate(trace.data_addresses.tolist()):
+            if i == warm:
+                _reset_tlb_stats(tlbs)
+            tlbs.translate_data(address)
+        dtlb_misses = tlbs.dtlb.misses
+        data_walks = tlbs.page_walks
+        warm = int(trace.ifetch_addresses.size * warmup_fraction)
+        itlb_baseline_misses = 0
+        walks_baseline = tlbs.page_walks
+        for i, address in enumerate(trace.ifetch_addresses.tolist()):
+            if i == warm:
+                itlb_baseline_misses = tlbs.itlb.misses
+                walks_baseline = tlbs.page_walks - data_walks
+            tlbs.translate_inst(address)
+        itlb_misses = tlbs.itlb.misses - itlb_baseline_misses
+        total_walks = data_walks + (
+            tlbs.page_walks - data_walks - walks_baseline
+        )
+        last_tlb_misses = tlbs.last_level_misses()
 
     # ---- branches ------------------------------------------------------------
     predictor = build_predictor(machine.predictor)
     mispredicts = 0
     taken_count = 0
     warm = int(trace.branches * warmup_fraction)
-    with span("trace.branch", branches=int(trace.branches), kernel=kernel):
-        if vector:
-            correct = predictor.predict_many(
-                trace.branch_sites, trace.branch_taken
-            )
-            measured_ok = correct[warm:]
-            mispredicts = int(measured_ok.size) - int(
-                np.count_nonzero(measured_ok)
-            )
-            taken_count = int(np.count_nonzero(trace.branch_taken[warm:]))
-        else:
-            for i, (site, taken) in enumerate(
-                zip(trace.branch_sites.tolist(), trace.branch_taken.tolist())
-            ):
-                correct = predictor.predict_and_update(site, taken)
-                if i >= warm:
-                    if not correct:
-                        mispredicts += 1
-                    if taken:
-                        taken_count += 1
+    with span("trace.branch", branches=int(trace.branches)):
+        for i, (site, taken) in enumerate(
+            zip(trace.branch_sites.tolist(), trace.branch_taken.tolist())
+        ):
+            correct = predictor.predict_and_update(site, taken)
+            if i >= warm:
+                if not correct:
+                    mispredicts += 1
+                if taken:
+                    taken_count += 1
 
     counts = FusedCounts(
         data_misses=data_misses,
@@ -431,41 +346,27 @@ def profile_trace_batch(
     seed: int = 2017,
     warmup_fraction: float = 0.25,
     kernel: Optional[str] = None,
-    seed_scope: Optional[str] = None,
-    replay: Optional[str] = None,
     trace_cache: Optional[TraceCache] = None,
 ) -> List[CounterReport]:
     """Profile one workload across a batch of machines in one pass.
 
-    Machines are grouped by effective trace identity — their resolved
-    trace seed plus (line_bytes, page_bytes) geometry — and each group
-    replays its shared trace through :func:`repro.uarch.fused.replay_fused`,
-    which set-partitions each access stream once per distinct structure
-    geometry instead of once per machine.  Under the ``machine`` seed
-    scope every group has one member, so the batch degrades gracefully
-    to independent work.  Reports come back in input order and are
-    bit-identical to ``replay="independent"`` (CI replays the whole
-    suite under ``REPRO_REPLAY=independent`` to enforce this).
+    Machines are grouped by trace identity — their trace seed plus
+    (line_bytes, page_bytes) geometry — and each group replays its
+    shared trace through :func:`repro.uarch.fused.replay_fused`, which
+    set-partitions each access stream once per distinct structure
+    geometry instead of once per machine.  Reports come back in input
+    order and are bit-identical to per-machine scalar
+    :func:`profile_trace` calls (the ``scalar-oracle`` CI job replays
+    the whole suite on the scalar kernel to enforce this).
 
-    A non-``fused`` replay selection or a ``scalar`` kernel loops over
-    :func:`profile_trace` instead, keeping the per-access oracle paths
-    exactly as they were.
+    A ``scalar`` kernel loops :func:`profile_trace` over the machines
+    instead, so the oracle stays per-access end to end.
     """
-    if instructions <= 0:
-        raise ConfigurationError(
-            f"instructions must be > 0, got {instructions}"
-        )
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError(
-            f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
-        )
-    kernel = resolve_trace_kernel(kernel)
-    seed_scope = resolve_seed_scope(seed_scope)
-    replay = resolve_replay(replay)
+    _validate_window(instructions, warmup_fraction)
     machines = list(machines)
     if not machines:
         return []
-    if kernel != "vector" or replay != "fused":
+    if resolve_trace_kernel(kernel) == "scalar":
         return [
             profile_trace(
                 spec,
@@ -473,9 +374,7 @@ def profile_trace_batch(
                 instructions=instructions,
                 seed=seed,
                 warmup_fraction=warmup_fraction,
-                kernel=kernel,
-                seed_scope=seed_scope,
-                replay="independent",
+                kernel="scalar",
                 trace_cache=trace_cache,
             )
             for machine in machines
@@ -487,18 +386,13 @@ def profile_trace_batch(
         trace_cache = default_trace_cache()
     groups: Dict[tuple, List[int]] = {}
     for index, machine in enumerate(machines):
-        effective_seed = trace_seed(
-            seed, spec, machine, instructions, seed_scope
-        )
+        effective_seed = trace_seed(seed, spec, machine, instructions)
         key = (effective_seed, machine.l1d.line_bytes, machine.dtlb.page_bytes)
         groups.setdefault(key, []).append(index)
     reports: List[CounterReport] = [None] * len(machines)  # type: ignore[list-item]
     for (effective_seed, line_bytes, page_bytes), indices in groups.items():
         with span(
-            "trace.synthesize",
-            workload=spec.name,
-            instructions=instructions,
-            seed_scope=seed_scope,
+            "trace.synthesize", workload=spec.name, instructions=instructions
         ):
             trace = trace_cache.get_or_synthesize(
                 spec,

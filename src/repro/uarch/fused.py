@@ -32,30 +32,23 @@ Non-LRU levels (FIFO/RANDOM victim choice changes residency, so the
 stack-depth shortcut does not apply) fall back to one exact
 :func:`repro.uarch.kernels._simulate_level` replay on a fresh
 :class:`~repro.uarch.cache.Cache` per distinct (sets, ways, policy) —
-bit-identical to the independent path, which also builds a fresh cache
+bit-identical to the scalar oracle, which also builds a fresh cache
 (and hence a fresh ``default_rng(0)``) per profiling call.
 
-Miss streams propagate level by level exactly as
-:func:`repro.uarch.kernels.simulate_cache_chain` propagates them: a
-level's misses, in stream order, form the next level's access stream —
-so machines sharing an (sets, ways[, policy]) prefix share every pass
-of that prefix and split only where their hierarchies diverge.
+Miss streams propagate level by level exactly as the scalar
+:class:`~repro.uarch.cache.Cache` chain propagates them: a level's
+misses, in stream order, form the next level's access stream — so
+machines sharing an (sets, ways[, policy]) prefix share every pass of
+that prefix and split only where their hierarchies diverge.
 
-The ``replay`` knob
--------------------
-
-``replay="fused"`` (the default) routes batch profiling through this
-module; ``replay="independent"`` keeps the historical one-machine-at-a-
-time replay.  The two are bit-identical by construction and CI replays
-the whole suite under ``REPRO_REPLAY=independent`` to keep it that way.
-The fused engine builds on the vectorized kernels, so a ``scalar``
-trace-kernel selection always degrades to independent replay (the
-scalar-oracle CI leg therefore still exercises the per-access oracle).
+This is the trace engine's only fast path: ``kernel="vector"`` (the
+default) profiles through it, ``kernel="scalar"`` runs the per-access
+reference oracle instead, and the two are bit-identical (the
+``scalar-oracle`` CI job replays the whole suite on the oracle).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,48 +61,9 @@ from repro.uarch.kernels import _group_by_set, _simulate_level
 from repro.uarch.machine import MachineConfig
 
 __all__ = [
-    "REPLAY_MODES",
-    "REPLAY_ENV",
-    "validate_replay",
-    "default_replay",
-    "resolve_replay",
     "FusedCounts",
     "replay_fused",
 ]
-
-#: Replay strategies: ``independent`` profiles one machine at a time
-#: (the historical path); ``fused`` (default) batches machines sharing
-#: a trace through the shared-pass engine of this module.
-REPLAY_MODES = ("independent", "fused")
-
-#: Environment variable overriding the default replay mode (used by the
-#: CI leg that runs the whole suite against the independent oracle).
-REPLAY_ENV = "REPRO_REPLAY"
-
-
-def validate_replay(replay: str) -> str:
-    """Return ``replay`` if it names a known mode, else raise."""
-    if replay not in REPLAY_MODES:
-        raise ConfigurationError(
-            f"unknown replay mode {replay!r}; expected one of {REPLAY_MODES}"
-        )
-    return replay
-
-
-def default_replay() -> str:
-    """The session default: ``$REPRO_REPLAY`` if set, else ``"fused"``."""
-    value = os.environ.get(REPLAY_ENV)
-    if value:
-        return validate_replay(value)
-    return "fused"
-
-
-def resolve_replay(replay: Optional[str] = None) -> str:
-    """Resolve an optional replay choice: ``None`` means the default."""
-    if replay is None:
-        return default_replay()
-    return validate_replay(replay)
-
 
 @dataclass
 class FusedCounts:
@@ -303,11 +257,10 @@ def _simulate_cache_levels(
             _descend(sub, addrs, miss_streams[assoc], orig, cut, out)
     for _exact_key, group in exact_groups.items():
         # Fresh cache per distinct geometry: same state and RNG stream
-        # (default_rng(0)) as the independent path's per-call caches.
+        # (default_rng(0)) as the scalar oracle's per-call caches.
         # Writes never change hit/miss outcomes (only dirty bits, which
         # the reports never read), so the stream replays write-free.
-        cache = Cache(group[0][1][0])
-        miss_local, _wb = _simulate_level(cache, addrs, None, None, None)
+        miss_local = _simulate_level(Cache(group[0][1][0]), addrs)
         _descend(group, addrs, miss_local, orig, cut, out)
 
 
@@ -375,7 +328,7 @@ def _tlb_config_key(config) -> Tuple[int, int, int]:
     return (config.page_bytes, config.num_sets, config.associativity)
 
 
-def _simulate_tlbs(
+def _tlb_counts(
     machines: Sequence[MachineConfig],
     data: np.ndarray,
     inst: np.ndarray,
@@ -385,8 +338,8 @@ def _simulate_tlbs(
     """Per-machine TLB counters for the whole batch.
 
     Returns ``(dtlb_misses, data_walks, itlb_misses, total_walks,
-    last_tlb_misses)`` per machine, matching the trace engine's vector
-    path bit-for-bit: data counters are post-cut at ``warm_d``,
+    last_tlb_misses)`` per machine, matching the scalar oracle
+    bit-for-bit: data counters are post-cut at ``warm_d``,
     instruction counters post-cut at ``warm_i``, and last-level misses
     keep the scalar loop's asymmetric baseline (all instruction-side
     events, post-cut data-side events).
@@ -549,8 +502,8 @@ def replay_fused(
     """Replay one trace through a batch of machines in shared passes.
 
     Returns one :class:`FusedCounts` per machine, in input order, each
-    bit-identical to what the independent trace-engine replay would
-    count for that machine on the same streams.  The machines need not
+    bit-identical to what the scalar oracle counts for that machine on
+    the same streams.  The machines need not
     share anything — groups form per structure geometry, so a batch of
     identical machines costs one pass and a batch of disjoint machines
     degrades to independent work without the per-call overheads.
@@ -578,7 +531,7 @@ def replay_fused(
         [(i, _machine_chain(m, "l1i")) for i, m in enumerate(machines)],
         inst, None, warm_i, inst_counts,
     )
-    tlb_counts = _simulate_tlbs(machines, data, inst, warm_d, warm_i)
+    tlb_counts = _tlb_counts(machines, data, inst, warm_d, warm_i)
     mispredicts, taken_count = _simulate_branches(
         machines, sites, taken, warm_b
     )

@@ -1,34 +1,39 @@
 """Batch simulation kernels for the exact trace engine.
 
-The scalar simulators (:class:`~repro.uarch.cache.Cache`,
-:class:`~repro.uarch.tlb.Tlb`, the predictors in
-:mod:`repro.uarch.branch`) process one access per Python method call,
-which makes the trace engine interpreter-bound.  The kernels here
-consume whole address/outcome arrays at once and are **bit-identical**
-to the scalar simulators: same final structure state, same statistics,
-same warm-up cut semantics, same RANDOM-policy RNG draws.
+The scalar simulators (:class:`~repro.uarch.cache.Cache`, the
+predictors in :mod:`repro.uarch.branch`) process one access per Python
+method call, which makes the scalar oracle interpreter-bound.  The
+kernels here consume whole address/outcome arrays at once; fused
+replay (:mod:`repro.uarch.fused`) builds on them.  Each is
+**bit-identical** to its scalar simulator — same final structure state,
+same statistics, same RANDOM-policy RNG draws:
+
+* :func:`_simulate_level` replays a read-only stream through one FIFO
+  or RANDOM cache level (LRU levels and TLBs take fused replay's own
+  stack-depth pass);
+* :func:`simulate_two_bit`, :func:`simulate_chooser` and
+  :func:`gshare_histories` back the predictors' ``predict_many``.
 
 Why bit-identity holds
 ----------------------
 
-*Set partitioning.*  Cache sets (and TLB sets, and predictor table
-entries) are independent: an access only reads and writes the state of
-its own set.  Grouping the access stream by set index (stable
-``np.argsort``) and replaying each set's short subsequence therefore
-produces exactly the state the global interleaved replay would.  Global
-quantities are reconstructed from stream positions: the scalar clock
-after access ``i`` of a level's stream is ``clock0 + i + 1``, so every
-recency/arrival stamp a set-local replay writes equals the scalar one.
+*Set partitioning.*  Cache sets (and predictor table entries) are
+independent: an access only reads and writes the state of its own set.
+Grouping the access stream by set index (stable ``np.argsort``) and
+replaying each set's short subsequence therefore produces exactly the
+state the global interleaved replay would.  Global quantities are
+reconstructed from stream positions: the scalar clock after access
+``i`` of a level's stream is ``clock0 + i + 1``, so every arrival stamp
+a set-local replay writes equals the scalar one.
 
-*Victim order.*  Within a set, LRU/FIFO state lives in one tag-keyed
-dict whose **insertion order** is kept equal to ascending stamp order:
-residents are inserted oldest-first, every (re)insertion carries a
-stamp larger than all resident ones (the clock is strictly monotone),
-and LRU hits reinsert at the end.  The victim is therefore simply the
-first key — the minimum stamp — and since monotone stamps are unique
-within a set this coincides with the scalar ``argmin(stamp)`` (ties
-cannot occur).  Empty ways are kept in an ascending list, matching the
-scalar "lowest-index empty way" rule.
+*Victim order.*  Within a FIFO set, state lives in one tag-keyed dict
+whose **insertion order** is kept equal to ascending stamp order:
+residents are inserted oldest-first and every insertion carries a
+stamp larger than all resident ones (the clock is strictly monotone).
+The victim is therefore simply the first key — the minimum stamp — and
+since monotone stamps are unique within a set this coincides with the
+scalar ``argmin(stamp)`` (ties cannot occur).  Empty ways are kept in
+an ascending list, matching the scalar "lowest-index empty way" rule.
 
 *RANDOM draw order.*  The scalar RANDOM policy draws one victim from
 the cache's own :class:`numpy.random.Generator` per eviction, in global
@@ -36,22 +41,14 @@ eviction order.  Per-set replays are suspended at each eviction
 (generator ``yield``) and resumed by a driver that merges the stalled
 replays through a min-heap keyed on stream position — so draws are
 consumed from the same generator, one per eviction, in exactly the
-scalar order.  This contract assumes each cache level owns its RNG (the
-default); levels sharing one generator would interleave draws across
-levels, which the per-level batched replay does not reproduce.
-
-*Miss propagation.*  A level's misses form the next level's access
-stream, filtered in stream order.  Writebacks only bump the next
-level's access/hit statistics (never its state), so applying them after
-the demand replay is exact.
+scalar order.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from itertools import repeat
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -64,15 +61,14 @@ __all__ = [
     "default_trace_kernel",
     "validate_trace_kernel",
     "resolve_trace_kernel",
-    "simulate_cache_chain",
-    "simulate_tlb",
     "simulate_two_bit",
     "simulate_chooser",
     "gshare_histories",
 ]
 
-#: The trace-engine kernel implementations: the vectorized batch
-#: kernels (default) and the scalar per-access reference oracle.
+#: The trace-engine implementations: fused batch replay over the
+#: kernels here (``vector``, the default) and the scalar per-access
+#: reference oracle.
 TRACE_KERNELS = ("scalar", "vector")
 
 #: Environment variable overriding the default kernel (used by the CI
@@ -127,91 +123,6 @@ def _group_by_set(sets: np.ndarray) -> Tuple[np.ndarray, np.ndarray, List[int]]:
     return order, touched, bounds
 
 
-def _replay_set_lru(
-    tags_seq, wr_seq, pos_seq, d, empty,
-    clock0, miss_pos, evict_pos, wb_pos,
-) -> None:
-    # LRU replay over one insertion-ordered dict ``tag -> [way, stamp,
-    # dirty]`` kept in recency order (least recent first): a hit pops
-    # and reinsert at the end, the victim is the first key.
-    it = (
-        zip(tags_seq, wr_seq, pos_seq)
-        if wr_seq is not None
-        else zip(tags_seq, repeat(False), pos_seq)
-    )
-    pop = d.pop
-    for tag, wr, pos in it:
-        e = pop(tag, None)
-        if e is not None:
-            e[1] = clock0 + pos + 1
-            if wr:
-                e[2] = True
-            d[tag] = e
-        else:
-            miss_pos.append(pos)
-            if empty:
-                way = empty.pop(0)
-            else:
-                evict_pos.append(pos)
-                way, _, dirty = pop(next(iter(d)))
-                if dirty:
-                    wb_pos.append(pos)
-            d[tag] = [way, clock0 + pos + 1, wr]
-
-
-def _replay_set_lru_ro(
-    tags_seq, pos_seq, d, empty, clock0, miss_pos, evict_pos, wb_pos
-) -> None:
-    # Read-only LRU replay (no write stream): identical to
-    # _replay_set_lru with every ``wr`` False — fills are clean, but
-    # pre-existing dirty residents still write back on eviction.
-    pop = d.pop
-    for tag, pos in zip(tags_seq, pos_seq):
-        e = pop(tag, None)
-        if e is not None:
-            e[1] = clock0 + pos + 1
-            d[tag] = e
-        else:
-            miss_pos.append(pos)
-            if empty:
-                way = empty.pop(0)
-            else:
-                evict_pos.append(pos)
-                way, _, dirty = pop(next(iter(d)))
-                if dirty:
-                    wb_pos.append(pos)
-            d[tag] = [way, clock0 + pos + 1, False]
-
-
-def _replay_set_fifo(
-    tags_seq, wr_seq, pos_seq, d, empty,
-    clock0, miss_pos, evict_pos, wb_pos,
-) -> None:
-    # FIFO replay: like LRU but hits neither restamp nor reorder, so
-    # insertion order stays arrival order and the victim is the first key.
-    it = (
-        zip(tags_seq, wr_seq, pos_seq)
-        if wr_seq is not None
-        else zip(tags_seq, repeat(False), pos_seq)
-    )
-    get = d.get
-    for tag, wr, pos in it:
-        e = get(tag)
-        if e is not None:
-            if wr:
-                e[2] = True
-        else:
-            miss_pos.append(pos)
-            if empty:
-                way = empty.pop(0)
-            else:
-                evict_pos.append(pos)
-                way, _, dirty = d.pop(next(iter(d)))
-                if dirty:
-                    wb_pos.append(pos)
-            d[tag] = [way, clock0 + pos + 1, wr]
-
-
 def _replay_set_fifo_ro(
     tags_seq, pos_seq, d, empty, clock0, miss_pos, evict_pos, wb_pos
 ) -> None:
@@ -231,22 +142,15 @@ def _replay_set_fifo_ro(
 
 
 def _replay_set_random(
-    tags_seq, wr_seq, pos_seq, tags_row, dirty_row, stamp_row, empty,
+    tags_seq, pos_seq, tags_row, dirty_row, stamp_row, empty,
     clock0, miss_pos, evict_pos, wb_pos,
 ):
-    # Generator: suspends at each eviction, yielding its stream
-    # position; the driver resumes it with the victim way so the draw
-    # comes from the cache's own RNG in global eviction order.
-    it = (
-        zip(tags_seq, wr_seq, pos_seq)
-        if wr_seq is not None
-        else zip(tags_seq, repeat(False), pos_seq)
-    )
-    index = tags_row.index
-    for tag, wr, pos in it:
-        try:
-            k = index(tag)
-        except ValueError:
+    # Read-only RANDOM replay as a generator: suspends at each eviction,
+    # yielding its stream position; the driver resumes it with the
+    # victim way so the draw comes from the cache's own RNG in global
+    # eviction order.
+    for tag, pos in zip(tags_seq, pos_seq):
+        if tag not in tags_row:
             miss_pos.append(pos)
             if empty:
                 way = empty.pop(0)
@@ -256,30 +160,26 @@ def _replay_set_random(
                 if dirty_row[way]:
                     wb_pos.append(pos)
             tags_row[way] = tag
-            dirty_row[way] = wr
+            dirty_row[way] = False
             stamp_row[way] = clock0 + pos + 1
-        else:
-            if wr:
-                dirty_row[k] = True
 
 
-def _simulate_level(
-    cache: Cache,
-    addrs: np.ndarray,
-    writes: Optional[np.ndarray],
-    orig: Optional[np.ndarray],
-    cut: Optional[int],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Replay one level's whole access stream; returns the miss stream.
+def _simulate_level(cache: Cache, addrs: np.ndarray) -> np.ndarray:
+    """Replay a read-only access stream through one FIFO/RANDOM level.
 
-    ``orig`` maps each stream position to its top-level index (``None``
-    for the identity at the top level); ``cut`` filters the statistics
-    to events originating at top-level index >= cut.  Returns
-    ``(miss_local, wb_orig)``: ascending stream positions that missed,
-    and the top-level indices of the writeback events (for the caller
-    to bump the next level's access/hit counters).
+    Equivalent to calling ``cache.access(a)`` per element on a level
+    with no ``next_level`` — same final tags, dirty bits, stamps and
+    clock, same statistics and the same RANDOM-policy RNG draws.
+    Returns the ascending stream positions that missed, which form the
+    next level's access stream.  LRU levels never come here: fused
+    replay counts their misses with a stack-depth pass instead.
     """
+    policy = cache.config.policy
+    if policy is ReplacementPolicy.LRU:
+        raise ConfigurationError("_simulate_level replays FIFO/RANDOM only")
     m = int(addrs.size)
+    if m == 0:
+        return np.zeros(0, dtype=np.intp)
     lines = addrs >> cache._set_shift
     if cache._set_mask is not None:
         sets = lines & cache._set_mask
@@ -288,10 +188,8 @@ def _simulate_level(
     order, touched, bounds = _group_by_set(sets)
     tags_seq = lines[order].tolist()
     pos_seq = order.tolist()
-    wr_all = writes[order].tolist() if writes is not None else None
 
     clock0 = cache._clock
-    policy = cache.config.policy
     miss_pos: List[int] = []
     evict_pos: List[int] = []
     wb_pos: List[int] = []
@@ -299,7 +197,8 @@ def _simulate_level(
     rows_dirty = cache._dirty[touched]
     rows_stamp = cache._stamp[touched]
     n_groups = int(touched.size)
-    touched_l = touched.tolist()
+    assoc = cache.config.associativity
+    all_ways = list(range(assoc))
 
     if policy is ReplacementPolicy.RANDOM:
         # Way-indexed state rows; per-set generators merged by a heap so
@@ -307,7 +206,6 @@ def _simulate_level(
         rows_tags_l = rows_tags.tolist()
         rows_dirty_l = rows_dirty.tolist()
         rows_stamp_l = rows_stamp.tolist()
-        assoc = cache.config.associativity
         rng = cache._rng
         heap: List[Tuple[int, int]] = []
         gens = {}
@@ -316,12 +214,11 @@ def _simulate_level(
             tags_row = rows_tags_l[g]
             gen = _replay_set_random(
                 tags_seq[s:e],
-                wr_all[s:e] if wr_all is not None else None,
                 pos_seq[s:e],
                 tags_row,
                 rows_dirty_l[g],
                 rows_stamp_l[g],
-                [w for w in range(assoc) if tags_row[w] == -1],
+                [w for w in all_ways if tags_row[w] == -1],
                 clock0,
                 miss_pos,
                 evict_pos,
@@ -344,291 +241,61 @@ def _simulate_level(
         cache._dirty[touched] = np.asarray(rows_dirty_l, dtype=bool)
         cache._stamp[touched] = np.asarray(rows_stamp_l, dtype=np.int64)
     else:
-        # Most touched sets of a cold outer level are fully empty;
-        # compute per-set resident counts vectorized and lift only the
-        # resident rows out to Python lists.
-        res_mask = rows_tags != -1
-        res_counts = res_mask.sum(axis=1).tolist()
-        nz = np.flatnonzero(res_mask.any(axis=1))
-        sub_tags = iter(rows_tags[nz].tolist())
-        sub_dirty = iter(rows_dirty[nz].tolist())
-        sub_stamp = iter(rows_stamp[nz].tolist())
-        assoc = cache.config.associativity
-        all_ways = list(range(assoc))
-        lru = policy is ReplacementPolicy.LRU
-        if wr_all is None:
-            replay_ro = _replay_set_lru_ro if lru else _replay_set_fifo_ro
-        else:
-            replay_rw = _replay_set_lru if lru else _replay_set_fifo
+        tags_rows = rows_tags.tolist()
+        dirty_rows = rows_dirty.tolist()
+        stamp_rows = rows_stamp.tolist()
         upd_rows: List[int] = []
         upd_ways: List[int] = []
         upd_tags: List[int] = []
         upd_dirty: List[bool] = []
         upd_stamp: List[int] = []
-        for g in range(n_groups):
+        for g, row in enumerate(touched.tolist()):
             s, e = bounds[g], bounds[g + 1]
-            if not res_counts[g] and e == s + 1:
-                # Single access to a fully-empty set (the common case
-                # for a cold outer level): a miss filling way 0.
-                pos = pos_seq[s]
-                miss_pos.append(pos)
-                upd_rows.append(touched_l[g])
-                upd_ways.append(0)
-                upd_tags.append(tags_seq[s])
-                upd_dirty.append(wr_all[s] if wr_all is not None else False)
-                upd_stamp.append(clock0 + pos + 1)
-                continue
-            if res_counts[g]:
-                tags_row = next(sub_tags)
-                dirty_row = next(sub_dirty)
-                stamp_row = next(sub_stamp)
-                # Residents enter the dict oldest-stamp first so that
-                # insertion order equals ascending stamp order.
-                resident = sorted(
-                    (w for w in all_ways if tags_row[w] != -1),
-                    key=stamp_row.__getitem__,
-                )
-                d = {
-                    tags_row[w]: [w, stamp_row[w], dirty_row[w]]
-                    for w in resident
-                }
-                empty = [w for w in all_ways if tags_row[w] == -1]
-            else:
-                d = {}
-                empty = all_ways.copy()
-            if wr_all is None:
-                replay_ro(
-                    tags_seq[s:e],
-                    pos_seq[s:e],
-                    d,
-                    empty,
-                    clock0,
-                    miss_pos,
-                    evict_pos,
-                    wb_pos,
-                )
-            else:
-                replay_rw(
-                    tags_seq[s:e],
-                    wr_all[s:e],
-                    pos_seq[s:e],
-                    d,
-                    empty,
-                    clock0,
-                    miss_pos,
-                    evict_pos,
-                    wb_pos,
-                )
-            if d:
-                upd_rows.extend([touched_l[g]] * len(d))
-                upd_tags.extend(d)
-                vals = list(d.values())
-                upd_ways.extend([v[0] for v in vals])
-                upd_stamp.extend([v[1] for v in vals])
-                upd_dirty.extend([v[2] for v in vals])
+            tags_row = tags_rows[g]
+            stamp_row = stamp_rows[g]
+            # Residents enter the dict oldest-stamp first so that
+            # insertion order equals ascending stamp order.
+            resident = sorted(
+                (w for w in all_ways if tags_row[w] != -1),
+                key=stamp_row.__getitem__,
+            )
+            d = {
+                tags_row[w]: [w, stamp_row[w], dirty_rows[g][w]]
+                for w in resident
+            }
+            empty = [w for w in all_ways if tags_row[w] == -1]
+            _replay_set_fifo_ro(
+                tags_seq[s:e],
+                pos_seq[s:e],
+                d,
+                empty,
+                clock0,
+                miss_pos,
+                evict_pos,
+                wb_pos,
+            )
+            upd_rows.extend([row] * len(d))
+            upd_tags.extend(d)
+            vals = list(d.values())
+            upd_ways.extend([v[0] for v in vals])
+            upd_stamp.extend([v[1] for v in vals])
+            upd_dirty.extend([v[2] for v in vals])
         if upd_rows:
             cache._tags[upd_rows, upd_ways] = upd_tags
             cache._dirty[upd_rows, upd_ways] = upd_dirty
             cache._stamp[upd_rows, upd_ways] = upd_stamp
 
     cache._clock = clock0 + m
+    misses = len(miss_pos)
+    stats = cache.stats
+    stats.accesses += m
+    stats.hits += m - misses
+    stats.misses += misses
+    stats.evictions += len(evict_pos)
+    stats.writebacks += len(wb_pos)
     miss_local = np.asarray(miss_pos, dtype=np.intp)
     miss_local.sort()
-    evict_arr = np.asarray(evict_pos, dtype=np.intp)
-    wb_arr = np.asarray(wb_pos, dtype=np.intp)
-    if orig is not None:
-        miss_orig = orig[miss_local]
-        evict_orig = orig[evict_arr]
-        wb_orig = orig[wb_arr]
-    else:
-        miss_orig, evict_orig, wb_orig = miss_local, evict_arr, wb_arr
-    if cut is None:
-        accesses = m
-        misses = int(miss_local.size)
-        evictions = int(evict_arr.size)
-        writebacks = int(wb_arr.size)
-    else:
-        if orig is None:
-            accesses = m - cut
-        else:
-            accesses = m - int(np.searchsorted(orig, cut))
-        misses = int(miss_orig.size) - int(np.searchsorted(miss_orig, cut))
-        evictions = int(np.count_nonzero(evict_orig >= cut))
-        writebacks = int(np.count_nonzero(wb_orig >= cut))
-    stats = cache.stats
-    stats.accesses += accesses
-    stats.hits += accesses - misses
-    stats.misses += misses
-    stats.evictions += evictions
-    stats.writebacks += writebacks
-    return miss_local, wb_orig
-
-
-def simulate_cache_chain(
-    chain: Sequence[Cache],
-    addresses: Iterable[int],
-    is_write: Optional[Iterable[bool]] = None,
-    reset_stats_at: Optional[int] = None,
-) -> np.ndarray:
-    """Replay a whole address stream through a cache chain at once.
-
-    ``chain`` lists the levels innermost first; each level's
-    ``next_level`` must be the following chain entry (or ``None`` for
-    the last).  Equivalent to calling ``chain[0].access`` per element —
-    identical statistics, state, clock and RNG consumption — with
-    ``reset_stats_at`` reproducing the trace engine's warm-up cut:
-    statistics of every level are reset as if zeroed just before
-    top-level access index ``reset_stats_at`` (ignored unless ``0 <=
-    reset_stats_at < len(addresses)``, exactly like the scalar loop's
-    ``i == warm`` trigger).
-
-    Returns the per-access hit/miss outcome of the **first** level as a
-    boolean array.
-    """
-    addrs = np.ascontiguousarray(addresses, dtype=np.int64)
-    n = int(addrs.size)
-    writes = (
-        None if is_write is None else np.ascontiguousarray(is_write, dtype=bool)
-    )
-    if writes is not None and writes.size != n:
-        raise ConfigurationError(
-            f"is_write length {writes.size} != addresses length {n}"
-        )
-    cut: Optional[int] = None
-    if reset_stats_at is not None and 0 <= reset_stats_at < n:
-        cut = int(reset_stats_at)
-        for level in chain:
-            level.stats.reset()
-    hits = np.ones(n, dtype=bool)
-    level_addrs = addrs
-    level_writes = writes
-    orig: Optional[np.ndarray] = None
-    for cache in chain:
-        if level_addrs.size == 0:
-            break
-        miss_local, wb_orig = _simulate_level(
-            cache, level_addrs, level_writes, orig, cut
-        )
-        if cache.next_level is not None and wb_orig.size:
-            bumped = (
-                int(np.count_nonzero(wb_orig >= cut))
-                if cut is not None
-                else int(wb_orig.size)
-            )
-            cache.next_level.stats.accesses += bumped
-            cache.next_level.stats.hits += bumped
-        if orig is None:
-            hits[miss_local] = False
-            orig = miss_local
-        else:
-            orig = orig[miss_local]
-        level_addrs = level_addrs[miss_local]
-        level_writes = None  # next-level fetches are plain reads
-    return hits
-
-
-# ---------------------------------------------------------------------------
-# TLBs
-# ---------------------------------------------------------------------------
-
-
-def _replay_set_tlb(pages_seq, pos_seq, d, empty, clock0, miss_pos) -> None:
-    # LRU over one insertion-ordered page-keyed dict ``page -> [way,
-    # stamp]``, mirroring _replay_set_lru minus dirty tracking and
-    # eviction statistics.
-    pop = d.pop
-    for page, pos in zip(pages_seq, pos_seq):
-        e = pop(page, None)
-        if e is not None:
-            e[1] = clock0 + pos + 1
-            d[page] = e
-        else:
-            miss_pos.append(pos)
-            if empty:
-                way = empty.pop(0)
-            else:
-                way = pop(next(iter(d)))[0]
-            d[page] = [way, clock0 + pos + 1]
-
-
-def simulate_tlb(tlb, addresses: Iterable[int]) -> np.ndarray:
-    """Replay a whole address stream through one TLB at once.
-
-    Equivalent to per-element :meth:`repro.uarch.tlb.Tlb.access` —
-    identical entries, stamps, clock and access/miss counters.  Returns
-    the per-access hit outcome as a boolean array.
-    """
-    addrs = np.ascontiguousarray(addresses, dtype=np.int64)
-    n = int(addrs.size)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    pages = addrs >> tlb._page_shift
-    sets = pages & tlb._set_mask
-    order, touched, bounds = _group_by_set(sets)
-    pages_seq = pages[order].tolist()
-    pos_seq = order.tolist()
-    clock0 = tlb._clock
-    rows_tags = tlb._tags[touched]
-    res_mask = rows_tags != -1
-    res_counts = res_mask.sum(axis=1).tolist()
-    nz = np.flatnonzero(res_mask.any(axis=1))
-    sub_tags = iter(rows_tags[nz].tolist())
-    sub_stamp = iter(tlb._stamp[touched[nz]].tolist())
-    assoc = tlb.config.associativity
-    all_ways = list(range(assoc))
-    miss_pos: List[int] = []
-    upd_rows: List[int] = []
-    upd_ways: List[int] = []
-    upd_tags: List[int] = []
-    upd_stamp: List[int] = []
-    touched_l = touched.tolist()
-    for g in range(int(touched.size)):
-        s, e = bounds[g], bounds[g + 1]
-        if not res_counts[g] and e == s + 1:
-            # Single access to a fully-empty set: a miss filling way 0.
-            pos = pos_seq[s]
-            miss_pos.append(pos)
-            upd_rows.append(touched_l[g])
-            upd_ways.append(0)
-            upd_tags.append(pages_seq[s])
-            upd_stamp.append(clock0 + pos + 1)
-            continue
-        if res_counts[g]:
-            tags_row = next(sub_tags)
-            stamp_row = next(sub_stamp)
-            resident = sorted(
-                (w for w in all_ways if tags_row[w] != -1),
-                key=stamp_row.__getitem__,
-            )
-            d = {tags_row[w]: [w, stamp_row[w]] for w in resident}
-            empty = [w for w in all_ways if tags_row[w] == -1]
-        else:
-            d = {}
-            empty = all_ways.copy()
-        _replay_set_tlb(
-            pages_seq[s:e],
-            pos_seq[s:e],
-            d,
-            empty,
-            clock0,
-            miss_pos,
-        )
-        if d:
-            upd_rows.extend([touched_l[g]] * len(d))
-            upd_tags.extend(d)
-            vals = list(d.values())
-            upd_ways.extend([v[0] for v in vals])
-            upd_stamp.extend([v[1] for v in vals])
-    if upd_rows:
-        tlb._tags[upd_rows, upd_ways] = upd_tags
-        tlb._stamp[upd_rows, upd_ways] = upd_stamp
-    tlb._clock = clock0 + n
-    tlb.accesses += n
-    tlb.misses += len(miss_pos)
-    hits = np.ones(n, dtype=bool)
-    if miss_pos:
-        hits[miss_pos] = False
-    return hits
+    return miss_local
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Shared property-testing harness for the bit-identity parity suites.
 
 The repo's performance contract is *bit-identity*: every fast path
-(vector kernels, geometry-shared traces, fused multi-machine replay)
-must produce exactly the results of its reference path, not merely
-statistically similar ones.  Three suites enforce that contract —
-``test_kernel_parity.py`` (vector vs. scalar kernels),
-``test_trace_cache.py`` (seed scopes and trace sharing) and
-``test_fused_replay.py`` (fused vs. independent replay) — and they all
-need the same machinery:
+(batch kernels, geometry-shared traces, fused multi-machine replay)
+must produce exactly the results of the scalar per-access oracle, not
+merely statistically similar ones.  Three suites enforce that contract
+— ``test_kernel_parity.py`` (batch kernels vs. scalar simulators),
+``test_trace_cache.py`` (trace identity and sharing) and
+``test_fused_replay.py`` (fused replay vs. the scalar oracle) — and
+they all need the same machinery:
 
 * **seeded generators** (stdlib :mod:`random`, never global state) for
   cache/TLB/predictor geometries, machine configs sampled *around* the
@@ -15,8 +15,8 @@ need the same machinery:
   locality/branch profiles, so failures replay deterministically from
   the printed seed;
 * **comparators** that check *state*, not just statistics: full tag
-  arrays, LRU stamps, dirty bits, predictor counter tables, trace
-  arrays, and canonical report digests.
+  arrays, stamps, dirty bits, predictor counter tables, trace arrays,
+  and canonical report digests.
 
 This module is the single home for both.  It is a plain helper module
 (no ``test_`` prefix), imported by the suites; keeping one copy means a
@@ -122,15 +122,19 @@ def sample_predictor_spec(rnd: random.Random) -> PredictorSpec:
 
 
 def _scale_cache(
-    rnd: random.Random, config: CacheConfig
+    rnd: random.Random, config: CacheConfig, vary_policy: bool = False
 ) -> CacheConfig:
-    """Resize a cache around its Table IV geometry, keeping it valid."""
+    """Resize a cache around its Table IV geometry, keeping it valid.
+
+    With ``vary_policy`` the replacement policy is redrawn as well.
+    """
     factor = rnd.choice([0.5, 1.0, 2.0])
     associativity = rnd.choice([config.associativity, 2, 4])
     quantum = config.line_bytes * associativity
     size = max(quantum, int(config.size_bytes * factor) // quantum * quantum)
+    policy = sample_policy(rnd) if vary_policy else config.policy
     return replace(
-        config, size_bytes=size, associativity=associativity
+        config, size_bytes=size, associativity=associativity, policy=policy
     )
 
 
@@ -147,7 +151,9 @@ def _scale_tlb(rnd: random.Random, config: TlbConfig) -> TlbConfig:
 
 
 def sample_machine(
-    rnd: random.Random, base: Optional[MachineConfig] = None
+    rnd: random.Random,
+    base: Optional[MachineConfig] = None,
+    vary_policy: bool = False,
 ) -> MachineConfig:
     """A machine sampled *around* one of the Table IV machines.
 
@@ -155,14 +161,15 @@ def sample_machine(
     kind/table, memory latency) is perturbed, but the trace-shaping
     geometry — ``(line_bytes, page_bytes)`` — is inherited from the
     base so sampled machines keep sharing traces the way the paper
-    machines do.
+    machines do.  ``vary_policy`` also redraws every cache level's
+    replacement policy (the paper machines are all LRU).
     """
     base = base if base is not None else rnd.choice(paper_machines())
     changes = {
         "name": f"{base.name}+prop{rnd.randrange(1 << 16)}",
-        "l1i": _scale_cache(rnd, base.l1i),
-        "l1d": _scale_cache(rnd, base.l1d),
-        "l2": _scale_cache(rnd, base.l2),
+        "l1i": _scale_cache(rnd, base.l1i, vary_policy),
+        "l1d": _scale_cache(rnd, base.l1d, vary_policy),
+        "l2": _scale_cache(rnd, base.l2, vary_policy),
         "itlb": _scale_tlb(rnd, base.itlb),
         "dtlb": _scale_tlb(rnd, base.dtlb),
         "predictor": replace(
@@ -175,14 +182,17 @@ def sample_machine(
         ),
     }
     if base.l3 is not None:
-        changes["l3"] = _scale_cache(rnd, base.l3)
+        changes["l3"] = _scale_cache(rnd, base.l3, vary_policy)
     if base.l2tlb is not None:
         changes["l2tlb"] = _scale_tlb(rnd, base.l2tlb)
     return replace(base, **changes)
 
 
 def sample_machine_batch(
-    rnd: random.Random, size: int, base: Optional[MachineConfig] = None
+    rnd: random.Random,
+    size: int,
+    base: Optional[MachineConfig] = None,
+    vary_policy: bool = False,
 ) -> List[MachineConfig]:
     """A geometry-sharing batch of ``size`` machines around one base.
 
@@ -191,7 +201,7 @@ def sample_machine_batch(
     duplicates, which exercise the memoized simulation paths.
     """
     base = base if base is not None else rnd.choice(paper_machines())
-    machines = [sample_machine(rnd, base) for _ in range(size)]
+    machines = [sample_machine(rnd, base, vary_policy) for _ in range(size)]
     if size > 1 and rnd.random() < 0.3:
         machines[-1] = machines[0]  # duplicate config in one batch
     return machines
@@ -251,15 +261,6 @@ def assert_cache_states_equal(vec, ref) -> None:
     assert np.array_equal(vec._stamp, ref._stamp)
     assert vec._clock == ref._clock
     assert vars(vec.stats) == vars(ref.stats)
-
-
-def assert_tlb_states_equal(vec, ref) -> None:
-    """Full-state equality of two TLBs."""
-    assert np.array_equal(vec._tags, ref._tags)
-    assert np.array_equal(vec._stamp, ref._stamp)
-    assert vec._clock == ref._clock
-    assert vec.accesses == ref.accesses
-    assert vec.misses == ref.misses
 
 
 def assert_predictor_states_equal(vec, ref) -> None:

@@ -134,7 +134,7 @@ class TestWorkerFailure:
         config = get_machine("skylake-i7-6700")
         index, outcomes, extras = _profile_chunk(
             (
-                7, "trace", -1, 2017, "vector", "geometry", "independent",
+                7, "trace", -1, 2017, "vector",
                 [(spec, config)], None, os.getpid(), "off", None, None,
             )
         )

@@ -1,14 +1,14 @@
-"""Fused multi-machine replay: knob, parity oracle, spill tier, crashes.
+"""Fused multi-machine replay: parity oracle, spill tier, crashes.
 
 The fused engine (:mod:`repro.uarch.fused`) promises **bit-identical**
-reports to independent per-machine replay — the property suite here is
-the oracle that backs the claim, driven by the shared
-:mod:`tests.parity` harness over randomized geometries, warm-up
-fractions and seed scopes.  The spill-tier tests cover the second half
-of the tentpole: traces evicted from the resident LRU survive on disk
-and come back memory-mapped and bit-identical, with corruption
-degrading to resynthesis.  The executor tests pin the fused crash
-contract: a batch that dies names *every* pair it carried.
+reports to the scalar per-access oracle — the property suite here is
+the oracle check that backs the claim, driven by the shared
+:mod:`tests.parity` harness over randomized geometries, replacement
+policies and warm-up fractions.  The spill-tier tests cover traces
+evicted from the resident LRU: they survive on disk and come back
+memory-mapped and bit-identical, with corruption degrading to
+resynthesis.  The executor tests pin the fused crash contract: a batch
+that dies names *every* pair it carried.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from tests.parity import (
 )
 
 from repro.errors import ConfigurationError, ExecutionError
-from repro.perf.diskcache import cache_key
 from repro.perf.profiler import Profiler
 from repro.perf.trace_cache import (
     SPILL_BYTES_ENV,
@@ -36,13 +35,7 @@ from repro.perf.trace_cache import (
     trace_key,
 )
 from repro.perf.trace_engine import profile_trace, profile_trace_batch
-from repro.uarch.fused import (
-    REPLAY_ENV,
-    REPLAY_MODES,
-    default_replay,
-    resolve_replay,
-    validate_replay,
-)
+from repro.uarch.cache import ReplacementPolicy
 from repro.uarch.machine import PAPER_MACHINE_NAMES, get_machine, paper_machines
 from repro.workloads.spec import get_workload
 from repro.workloads.synthesis import synthesize_trace
@@ -51,95 +44,30 @@ MCF = get_workload("505.mcf_r")
 SKYLAKE = get_machine("skylake-i7-6700")
 
 
-class TestReplayKnob:
-    """Selection, validation and cache keying of the replay knob."""
-
-    def test_validate_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            validate_replay("parallel")
-        with pytest.raises(ConfigurationError):
-            resolve_replay("batched")
-        assert set(REPLAY_MODES) == {"independent", "fused"}
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv(REPLAY_ENV, raising=False)
-        assert default_replay() == "fused"
-        assert resolve_replay(None) == "fused"
-        monkeypatch.setenv(REPLAY_ENV, "independent")
-        assert default_replay() == "independent"
-        assert resolve_replay(None) == "independent"
-        # An explicit choice still beats the environment.
-        assert resolve_replay("fused") == "fused"
-        monkeypatch.setenv(REPLAY_ENV, "bogus")
-        with pytest.raises(ConfigurationError):
-            default_replay()
-
-    def test_profiler_resolves_replay_at_init(self, monkeypatch):
-        monkeypatch.delenv(REPLAY_ENV, raising=False)
-        assert Profiler(engine="trace").replay == "fused"
-        assert (
-            Profiler(engine="trace", replay="independent").replay
-            == "independent"
-        )
-        monkeypatch.setenv(REPLAY_ENV, "independent")
-        assert Profiler(engine="trace").replay == "independent"
-        with pytest.raises(ConfigurationError):
-            Profiler(engine="trace", replay="nope")
-
-    def test_cli_flag_threads_into_profiler(self, monkeypatch):
-        monkeypatch.delenv(REPLAY_ENV, raising=False)
-        from repro.cli import _make_profiler, build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(
-            [
-                "profile", "505.mcf_r", "--engine", "trace",
-                "--replay", "independent", "--no-disk-cache",
-            ]
-        )
-        assert _make_profiler(args).replay == "independent"
-        args = parser.parse_args(
-            ["profile", "505.mcf_r", "--engine", "trace", "--no-disk-cache"]
-        )
-        assert _make_profiler(args).replay == "fused"
-
-    def test_cache_key_distinguishes_replays_for_trace_only(self):
-        trace_keys = {
-            cache_key(MCF, SKYLAKE, "trace", 1000, 1, replay=replay)
-            for replay in REPLAY_MODES
-        }
-        assert len(trace_keys) == len(REPLAY_MODES)
-        analytic_keys = {
-            cache_key(MCF, SKYLAKE, "analytic", 1000, 1, replay=replay)
-            for replay in REPLAY_MODES
-        }
-        assert len(analytic_keys) == 1
-
-
 class TestFusedParity:
-    """Fused vs. independent replay must be bit-identical, always.
+    """Fused replay vs. the scalar oracle must be bit-identical, always.
 
     Randomized-case budget (tests/parity.py contract): 20 trials with
     2–5 machines each contribute ~70 report-level parity cases on top
     of the kernel-parity suites.
     """
 
-    def test_randomized_batches_match_independent(self):
+    def _assert_batches_match_scalar(self, label, vary_policy=False):
+        policies = set()
         for trial in range(20):
-            rnd = rng_for("fused-batch", trial)
+            rnd = rng_for(label, trial)
             spec = sample_workload(rnd)
-            machines = sample_machine_batch(rnd, rnd.choice([2, 3, 4, 5]))
+            machines = sample_machine_batch(
+                rnd, rnd.choice([2, 3, 4, 5]), vary_policy=vary_policy
+            )
             window = sample_window(rnd)
             warmup = sample_warmup(rnd)
-            scope = rnd.choice(["geometry", "machine"])
             fused = profile_trace_batch(
                 spec,
                 machines,
                 instructions=window,
                 warmup_fraction=warmup,
                 kernel="vector",
-                seed_scope=scope,
-                replay="fused",
             )
             for machine, got in zip(machines, fused):
                 want = profile_trace(
@@ -147,59 +75,56 @@ class TestFusedParity:
                     machine,
                     instructions=window,
                     warmup_fraction=warmup,
-                    kernel="vector",
-                    seed_scope=scope,
-                    replay="independent",
+                    kernel="scalar",
                 )
                 assert_reports_identical(
                     got, want,
-                    f"trial={trial} scope={scope} warmup={warmup} "
+                    f"trial={trial} warmup={warmup} "
                     f"window={window} machine={machine.name}",
                 )
+                policies.update(
+                    (level, getattr(machine, level).policy)
+                    for level in ("l1d", "l2", "l3")
+                    if getattr(machine, level) is not None
+                )
+        return policies
+
+    def test_randomized_batches_match_independent(self):
+        self._assert_batches_match_scalar("fused-batch")
+
+    def test_fifo_and_random_levels_match_scalar(self):
+        # Non-LRU levels leave fused's stack-depth pass for the exact
+        # _simulate_level replay; every data level must have met both
+        # policies for the suite to have checked that fallback.
+        policies = self._assert_batches_match_scalar(
+            "fused-batch-policies", vary_policy=True
+        )
+        for level in ("l1d", "l2", "l3"):
+            for policy in (ReplacementPolicy.FIFO, ReplacementPolicy.RANDOM):
+                assert (level, policy) in policies, (level, policy)
 
     def test_paper_machine_sweep_is_bit_identical(self):
         machines = paper_machines()
         fused = profile_trace_batch(
-            MCF, machines, instructions=5_000, kernel="vector",
-            replay="fused",
+            MCF, machines, instructions=5_000, kernel="vector"
         )
         for machine, got in zip(machines, fused):
             want = profile_trace(
-                MCF, machine, instructions=5_000, kernel="vector",
-                replay="independent",
+                MCF, machine, instructions=5_000, kernel="scalar"
             )
             assert_reports_identical(got, want, machine.name)
 
     def test_single_machine_batch_degenerates_to_profile_trace(self):
         (got,) = profile_trace_batch(
-            MCF, [SKYLAKE], instructions=3_000, kernel="vector",
-            replay="fused",
+            MCF, [SKYLAKE], instructions=3_000, kernel="vector"
         )
-        want = profile_trace(
-            MCF, SKYLAKE, instructions=3_000, kernel="vector",
-            replay="independent",
-        )
+        want = profile_trace(MCF, SKYLAKE, instructions=3_000, kernel="scalar")
         assert_reports_identical(got, want)
-
-    def test_scalar_kernel_report_unchanged_by_replay_knob(self):
-        # The fused batch path requires the vector kernels; under the
-        # scalar oracle the knob must be a no-op, not an error.
-        for replay in REPLAY_MODES:
-            got = profile_trace(
-                MCF, SKYLAKE, instructions=2_000, kernel="scalar",
-                replay=replay,
-            )
-            want = profile_trace(
-                MCF, SKYLAKE, instructions=2_000, kernel="vector",
-                replay="independent",
-            )
-            assert_reports_identical(got, want, f"scalar/{replay}")
 
     def test_batch_order_is_input_order(self):
         machines = [get_machine(name) for name in PAPER_MACHINE_NAMES]
         reports = profile_trace_batch(
-            MCF, machines, instructions=2_000, kernel="vector",
-            replay="fused",
+            MCF, machines, instructions=2_000, kernel="vector"
         )
         assert [r.machine for r in reports] == [m.name for m in machines]
 
@@ -501,13 +426,10 @@ class TestFusedExecutorCrash:
         monkeypatch.setattr(mod, "compute_reports", flaky)
 
     def _profiler(self):
-        # Explicit vector kernel + fused replay so the batch path stays
-        # active under the scalar-/independent-oracle CI environments.
+        # Explicit vector kernel so the fused batch path stays active
+        # under the scalar-oracle CI environment.
         return Profiler(
-            engine="trace",
-            trace_instructions=2_000,
-            trace_kernel="vector",
-            replay="fused",
+            engine="trace", trace_instructions=2_000, trace_kernel="vector"
         )
 
     def test_serial_fused_crash_names_every_pair_in_the_batch(
@@ -545,17 +467,15 @@ class TestFusedExecutorCrash:
     def test_fused_sweep_matches_independent_sweep_through_executor(self):
         from repro.perf.executor import ProfilingExecutor
 
-        def sweep(replay):
+        def sweep(kernel):
             profiler = Profiler(
-                engine="trace",
-                trace_instructions=2_000,
-                trace_kernel="vector",
-                replay=replay,
+                engine="trace", trace_instructions=2_000, trace_kernel=kernel
             )
             executor = ProfilingExecutor(profiler, jobs=2, backend="thread")
             return executor.run(self._pairs())
 
-        fused = sweep("fused")
-        independent = sweep("independent")
+        # The scalar oracle profiles every pair on its own.
+        fused = sweep("vector")
+        independent = sweep("scalar")
         for got, want in zip(fused, independent):
             assert_reports_identical(got, want, f"{want.workload}@{want.machine}")

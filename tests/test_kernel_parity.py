@@ -1,10 +1,11 @@
-"""Bit-identity parity suite for the vectorized simulation kernels.
+"""Bit-identity parity suite for the batch simulation kernels.
 
-The contract (DESIGN.md, "Batch simulation kernels"): the vector
-kernels in :mod:`repro.uarch.kernels` are **bit-identical** to the
-scalar per-access simulators — same per-access outcomes, same final
-structure state (tags, dirty bits, stamps, clock), same statistics,
-same warm-up cut semantics and the same RANDOM-policy RNG draws.
+The contract (DESIGN.md, "Batch simulation kernels"): the kernels in
+:mod:`repro.uarch.kernels` and the shared passes of
+:mod:`repro.uarch.fused` are **bit-identical** to the scalar per-access
+simulators — same per-access outcomes and miss counts, same warm-up
+cut semantics, and (for ``_simulate_level`` and the predictors) the
+same final structure state and RANDOM-policy RNG draws.
 
 The property-based classes drive both implementations over seeded
 randomized geometries and streams from the shared :mod:`tests.parity`
@@ -15,13 +16,14 @@ compare *everything*, not just the returned arrays.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tests.parity import (
     assert_cache_states_equal,
     assert_predictor_states_equal,
-    assert_tlb_states_equal,
     rng_for,
     sample_cache_config,
     sample_predictor_spec,
@@ -33,9 +35,21 @@ from repro.perf.diskcache import cache_key
 from repro.perf.profiler import Profiler
 from repro.perf.trace_engine import profile_trace
 from repro.uarch.branch import PredictorSpec, build_predictor
-from repro.uarch.cache import CacheConfig, ReplacementPolicy, build_hierarchy
+from repro.uarch.cache import (
+    Cache,
+    CacheConfig,
+    ReplacementPolicy,
+    build_hierarchy,
+)
+from repro.uarch.fused import (
+    _lru_miss_streams,
+    _set_partition,
+    _simulate_cache_levels,
+    _tlb_counts,
+)
 from repro.uarch.kernels import (
     TRACE_KERNELS,
+    _simulate_level,
     default_trace_kernel,
     resolve_trace_kernel,
     validate_trace_kernel,
@@ -45,89 +59,134 @@ from repro.uarch.tlb import TlbConfig, TlbHierarchy
 from repro.workloads.spec import get_workload
 
 
+def _scalar_chain_misses(configs, addrs, writes, cut):
+    """Per-level post-cut demand misses of the scalar access loop."""
+    chain = build_hierarchy(configs)
+    for i, a in enumerate(addrs.tolist()):
+        if i == cut:
+            for level in chain:
+                level.stats.reset()
+        chain[0].access(
+            a, is_write=bool(writes[i]) if writes is not None else False
+        )
+    return [level.stats.misses for level in chain]
+
+
 class TestCacheParity:
-    """access_many vs. the scalar access loop, over random geometries."""
+    """Fused cache-level replay vs. the scalar access loop.
+
+    Fused replay counts per-level post-cut misses of whole cache chains
+    (LRU levels by stack depth, FIFO/RANDOM levels through the exact
+    ``_simulate_level`` kernel); both must match the scalar chain, and
+    ``_simulate_level`` must also leave the scalar final state.
+    """
 
     @pytest.mark.parametrize("policy", list(ReplacementPolicy))
     def test_randomized_chains(self, policy):
         rnd = rng_for("cache-parity", policy.value)
         for trial in range(16):
-            levels = rnd.choice([1, 2, 3])
-            configs = [
-                sample_cache_config(rnd, policy=policy)
-                for _ in range(levels)
+            # Several chains per call: equal-geometry prefixes share
+            # passes and split where the chains diverge.
+            chains = [
+                [
+                    sample_cache_config(rnd, policy=policy)
+                    for _ in range(rnd.choice([1, 2, 3]))
+                ]
+                for _ in range(rnd.choice([1, 2, 3]))
             ]
-            chain_v = build_hierarchy(configs)
-            chain_s = build_hierarchy(configs)
-            for cv, cs in zip(chain_v, chain_s):
-                seed = rnd.randrange(1 << 30)
-                cv._rng = np.random.default_rng(seed)
-                cs._rng = np.random.default_rng(seed)
+            if len(chains) > 1 and rnd.random() < 0.5:
+                chains[-1] = chains[0][:1] + chains[-1][1:]
             n = rnd.choice([0, 1, 7, 250, 600])
             addrs = np.array(
                 [rnd.randrange(0, 1 << 14) for _ in range(n)], dtype=np.int64
             )
+            # Fused replay is write-free: writes change dirty bits and
+            # writebacks, never a demand hit or miss.
             writes = (
                 np.array([rnd.random() < 0.3 for _ in range(n)], dtype=bool)
                 if rnd.random() < 0.7
                 else None
             )
-            cut = rnd.choice([None, 0, n // 3])
-            if rnd.random() < 0.5 and n:
-                # Pre-warm both chains identically so initial residency
-                # (dirty lines, stamps) is exercised, not just cold sets.
-                warm = np.array(
-                    [rnd.randrange(0, 1 << 14) for _ in range(60)],
-                    dtype=np.int64,
-                )
-                for a in warm.tolist():
-                    chain_s[0].access(a)
-                chain_v[0].access_many(warm)
-            for i, a in enumerate(addrs.tolist()):
-                if cut is not None and i == cut:
-                    for level in chain_s:
-                        level.stats.reset()
-                chain_s[0].access(
-                    a,
-                    is_write=bool(writes[i]) if writes is not None else False,
-                )
-            hits = chain_v[0].access_many(
-                addrs, is_write=writes, reset_stats_at=cut
+            cut = rnd.choice([0, n // 3])
+            out = [[] for _ in chains]
+            _simulate_cache_levels(
+                [(slot, list(configs)) for slot, configs in enumerate(chains)],
+                addrs, None, cut, out,
             )
-            assert hits.shape == (n,)
-            for cv, cs in zip(chain_v, chain_s):
-                assert_cache_states_equal(cv, cs)
-                # The RANDOM policy must also leave the generator at the
-                # same stream position (same number of draws consumed).
-                draw_v = int(cv._rng.integers(0, 1 << 20))
-                draw_s = int(cs._rng.integers(0, 1 << 20))
-                assert draw_v == draw_s
+            for slot, configs in enumerate(chains):
+                assert out[slot] == _scalar_chain_misses(
+                    configs, addrs, writes, cut
+                ), f"trial={trial} slot={slot}"
+
+    @pytest.mark.parametrize(
+        "policy", [ReplacementPolicy.FIFO, ReplacementPolicy.RANDOM]
+    )
+    def test_simulate_level_matches_scalar_state(self, policy):
+        rnd = rng_for("simulate-level-state", policy.value)
+        for trial in range(16):
+            config = sample_cache_config(rnd, policy=policy)
+            seed = rnd.randrange(1 << 30)
+            fast = Cache(config, rng=np.random.default_rng(seed))
+            ref = Cache(config, rng=np.random.default_rng(seed))
+            if rnd.random() < 0.5:
+                # Pre-warm both identically (dirty lines included) so
+                # initial residency is exercised, not just cold sets.
+                for _ in range(60):
+                    a = rnd.randrange(0, 1 << 14)
+                    is_write = rnd.random() < 0.3
+                    fast.access(a, is_write=is_write)
+                    ref.access(a, is_write=is_write)
+            n = rnd.choice([0, 1, 7, 250, 600])
+            addrs = np.array(
+                [rnd.randrange(0, 1 << 14) for _ in range(n)], dtype=np.int64
+            )
+            expected = [
+                i for i, a in enumerate(addrs.tolist()) if not ref.access(a)
+            ]
+            got = _simulate_level(fast, addrs)
+            assert got.tolist() == expected
+            assert_cache_states_equal(fast, ref)
+            # The RANDOM policy must also leave the generator at the
+            # same stream position (same number of draws consumed).
+            assert int(fast._rng.integers(0, 1 << 20)) == int(
+                ref._rng.integers(0, 1 << 20)
+            )
+
+    def test_simulate_level_rejects_lru(self):
+        config = CacheConfig(size_bytes=1024, line_bytes=64, associativity=2)
+        with pytest.raises(ConfigurationError):
+            _simulate_level(Cache(config), np.zeros(4, dtype=np.int64))
 
     def test_hit_array_matches_scalar_outcomes(self):
-        config = CacheConfig(size_bytes=1024, line_bytes=64, associativity=2)
-        chain_v = build_hierarchy([config])
-        chain_s = build_hierarchy([config])
+        # The LRU stack-depth pass yields exactly the scalar miss
+        # positions, per access, for every associativity it serves.
         rnd = rng_for("cache-hit-array")
         addrs = np.array(
             [rnd.randrange(0, 1 << 12) for _ in range(300)], dtype=np.int64
         )
-        expected = np.array(
-            [chain_s[0].access(a) for a in addrs.tolist()], dtype=bool
-        )
-        got = chain_v[0].access_many(addrs)
-        assert np.array_equal(got, expected)
-
-    def test_is_write_length_mismatch_raises(self):
-        config = CacheConfig(size_bytes=1024, line_bytes=64, associativity=2)
-        (cache,) = build_hierarchy([config])
-        with pytest.raises(ConfigurationError):
-            cache.access_many(
-                np.zeros(4, dtype=np.int64), is_write=np.zeros(3, dtype=bool)
+        lines = addrs >> 6
+        order, bounds = _set_partition(lines, 8)
+        misses = _lru_miss_streams(lines[order], order, bounds, [1, 2, 4])
+        for assoc, got in misses.items():
+            config = CacheConfig(
+                size_bytes=64 * assoc * 8, line_bytes=64, associativity=assoc
             )
+            (cache,) = build_hierarchy([config])
+            expected = [
+                i for i, a in enumerate(addrs.tolist()) if not cache.access(a)
+            ]
+            assert got.tolist() == expected, f"assoc={assoc}"
+
+
+def _tlb_machine(l1, l2, unified):
+    return replace(
+        get_machine("skylake-i7-6700"),
+        itlb=l1, dtlb=l1, l2tlb=l2, unified_l2tlb=unified,
+    )
 
 
 class TestTlbParity:
-    """translate_*_many vs. the scalar translate loop."""
+    """Fused TLB replay vs. the scalar translate loop."""
 
     @pytest.mark.parametrize("shape", ["no_l2", "unified", "split"])
     def test_randomized_hierarchies(self, shape):
@@ -140,48 +199,44 @@ class TestTlbParity:
                 else TlbConfig(entries=128, associativity=8)
             )
             unified = shape == "unified"
-            hv = TlbHierarchy(itlb=l1, dtlb=l1, l2=l2, unified_l2=unified)
-            hs = TlbHierarchy(itlb=l1, dtlb=l1, l2=l2, unified_l2=unified)
+            h = TlbHierarchy(itlb=l1, dtlb=l1, l2=l2, unified_l2=unified)
             n = rnd.choice([0, 5, 400])
             daddrs = np.array(
                 [rnd.randrange(0, 1 << 30) for _ in range(n)], dtype=np.int64
             )
+            # A second pass over the same pages exercises warm residency.
+            daddrs = np.concatenate((daddrs, daddrs))
             iaddrs = np.array(
                 [rnd.randrange(0, 1 << 30) for _ in range(n)], dtype=np.int64
             )
-            d_hits = [hs.translate_data(a) for a in daddrs.tolist()]
-            i_hits = [hs.translate_inst(a) for a in iaddrs.tolist()]
-            batch_d = hv.translate_data_many(daddrs)
-            batch_i = hv.translate_inst_many(iaddrs)
-            assert np.array_equal(~batch_d.l1_miss, np.array(d_hits, bool))
-            assert np.array_equal(~batch_i.l1_miss, np.array(i_hits, bool))
-            for tv, ts in (
-                (hv.itlb, hs.itlb),
-                (hv.dtlb, hs.dtlb),
-                (hv.l2_itlb, hs.l2_itlb),
-                (hv.l2_dtlb, hs.l2_dtlb),
-            ):
-                if tv is None:
-                    assert ts is None
-                    continue
-                assert_tlb_states_equal(tv, ts)
-            assert hv.page_walks == hs.page_walks
-            assert hv.last_level_misses() == hs.last_level_misses()
-            # Second pass over the same stream exercises warm residency.
             for a in daddrs.tolist():
-                hs.translate_data(a)
-            hv.translate_data_many(daddrs)
-            assert_tlb_states_equal(hv.dtlb, hs.dtlb)
-            assert hv.page_walks == hs.page_walks
+                h.translate_data(a)
+            data_walks = h.page_walks
+            for a in iaddrs.tolist():
+                h.translate_inst(a)
+            ((dtlb, d_walks, itlb, total_walks, last),) = _tlb_counts(
+                [_tlb_machine(l1, l2, unified)], daddrs, iaddrs, 0, 0
+            )
+            assert (dtlb, d_walks, itlb, total_walks, last) == (
+                h.dtlb.misses,
+                data_walks,
+                h.itlb.misses,
+                h.page_walks,
+                h.last_level_misses(),
+            ), f"trial={trial}"
 
     def test_walks_flag_marks_last_level_misses(self):
+        # Without an L2 TLB, every L1 miss walks.
         l1 = TlbConfig(entries=8, associativity=2)
         h = TlbHierarchy(itlb=l1, dtlb=l1, l2=None)
         addrs = np.arange(0, 64 << 12, 1 << 12, dtype=np.int64)
-        batch = h.translate_data_many(addrs)
-        assert int(batch.walks.sum()) == h.page_walks
-        # Without an L2, every L1 miss walks.
-        assert np.array_equal(batch.walks, batch.l1_miss)
+        for a in addrs.tolist():
+            h.translate_data(a)
+        empty = np.zeros(0, dtype=np.int64)
+        ((dtlb, data_walks, _itlb, _total, _last),) = _tlb_counts(
+            [_tlb_machine(l1, None, True)], addrs, empty, 0, 0
+        )
+        assert data_walks == dtlb == h.page_walks == 64
 
 
 class TestPredictorParity:
