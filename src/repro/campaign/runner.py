@@ -46,13 +46,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import shutil
 import time
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.campaign.generator import (
     generate_machines,
     machines_digest,
@@ -73,9 +74,6 @@ from repro.perf.diskcache import (
 )
 from repro.perf.executor import ProfilingExecutor
 from repro.perf.profiler import Profiler
-from repro.stats.incremental import resolve_analysis_mode
-from repro.stats.kmeans import kmeans
-from repro.stats.pca import fit_pca
 from repro.uarch.machine import PAPER_MACHINE_NAMES, MachineConfig
 from repro.workloads.spec import WorkloadSpec, get_workload
 
@@ -268,7 +266,6 @@ class CampaignRunner:
         profile: str = "off",
         ledger: bool = False,
         ledger_dir: Optional[Union[str, Path]] = None,
-        analysis: Optional[str] = None,
     ) -> None:
         self.directory = Path(directory)
         self.config = config
@@ -279,7 +276,6 @@ class CampaignRunner:
         self.profile = profile
         self.ledger = ledger
         self.ledger_dir = ledger_dir
-        self.analysis = analysis
 
     # ------------------------------------------------------------------
     # configuration / layout
@@ -646,21 +642,20 @@ class CampaignRunner:
     # fold / status / digests
     # ------------------------------------------------------------------
 
-    def fold(self, analysis: Optional[str] = None) -> dict:
+    def fold(self) -> dict:
         """PCA + k-means over every machine whose rows have landed.
 
         Reads the store incrementally (per-machine mmap blocks), so a
         mid-campaign fold analyzes the shards that finished without
-        touching the rest of the matrix.  Under the ``incremental``
-        analysis mode (the default; ``--analysis`` / ``REPRO_ANALYSIS``)
-        completed machine blocks are landed in a persistent
-        :class:`~repro.core.feature_store.FeatureMatrixStore` under the
-        campaign directory and repeated folds only fold the blocks
-        appended since the previous one; ``batch`` refits everything
-        from scratch and is the CI oracle.
+        touching the rest of the matrix.  Completed machine blocks are
+        landed in a persistent
+        :class:`~repro.core.feature_store.FeatureMatrixStore` under
+        ``incremental/`` and repeated folds only fold the blocks
+        appended since the previous one.  That store is a cache derived
+        from the columnar store: when it fails to open or verify, it is
+        rebuilt from the columnar store.
         """
         config = self.config or self.load_config()
-        mode = resolve_analysis_mode(analysis or self.analysis)
         store = CampaignStore.open(self.store_dir)
         landed_mask = ~np.isnan(np.asarray(store.column(store.metrics[0])))
         n_workloads = len(store.workloads)
@@ -681,44 +676,13 @@ class CampaignRunner:
             for workload in store.workloads
             for metric in store.metrics
         )
-        if mode == "incremental":
-            document = self._fold_incremental(config, store, complete, labels)
-        else:
-            document = self._fold_batch(config, store, complete, labels)
+        document = self._fold_incremental(config, store, complete, labels)
         atomic_write_text(
             self.directory / _ANALYSIS_FILE,
             json.dumps(document, indent=2, sort_keys=True) + "\n",
         )
         obs_metrics.incr("campaign.folds")
         return document
-
-    def _fold_batch(
-        self,
-        config: CampaignConfig,
-        store: CampaignStore,
-        complete: List[int],
-        labels: Tuple[str, ...],
-    ) -> dict:
-        """The batch oracle: full refit from every completed machine."""
-        features = np.stack(
-            [store.machine_block(index).ravel() for index in complete]
-        )
-        names = [store.machines[index] for index in complete]
-        pca = fit_pca(features, feature_labels=labels)
-        k = min(config.clusters, len(complete))
-        scores = pca.retained_scores()
-        clustering = kmeans(scores, k, seed=config.seed)
-        return {
-            "machines_analyzed": len(complete),
-            "machines_total": len(store.machines),
-            "features": len(labels),
-            "kaiser_components": pca.kaiser_components,
-            "cumulative_variance": pca.cumulative_variance(),
-            "clusters": clustering.clusters(names),
-            "representatives": clustering.representatives(scores, names),
-            "inertia": clustering.inertia,
-            "analysis_mode": "batch",
-        }
 
     def _fold_incremental(
         self,
@@ -733,13 +697,16 @@ class CampaignRunner:
         directory = self.directory / _INCREMENTAL_DIR
         try:
             feature_store = FeatureMatrixStore.open(directory)
-        except ConfigurationError:
+            feature_store.verify()
+            if feature_store.features != labels:
+                raise AnalysisError("built for different features")
+        except (AnalysisError, ConfigurationError, OSError, ValueError):
+            if directory.exists():
+                # Damaged or stale: the columnar store is the source of
+                # truth, so refold every completed block from it.
+                shutil.rmtree(directory)
+                obs_metrics.incr("campaign.fold_rebuilds")
             feature_store = FeatureMatrixStore.create(directory, labels)
-        if feature_store.features != labels:
-            raise ConfigurationError(
-                "the campaign's incremental store was built for different "
-                "features; remove its 'incremental' directory to refold"
-            )
         landed = set(feature_store.labels)
         appended = 0
         for index in complete:
@@ -763,7 +730,6 @@ class CampaignRunner:
             "clusters": summary["clusters"],
             "representatives": summary["representatives"],
             "inertia": summary["inertia"],
-            "analysis_mode": "incremental",
             "drift": summary["drift"],
             "refactorizations": summary["refactorizations"],
             "machines_folded": appended,

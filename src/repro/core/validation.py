@@ -9,8 +9,8 @@ subsets against randomly drawn subsets of the same size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "SystemValidation",
     "ValidationResult",
     "validate_subset",
-    "revalidate_subset",
     "random_subset_errors",
     "bootstrap_error_interval",
 ]
@@ -52,12 +51,6 @@ class ValidationResult:
     suite: Suite
     subset: Tuple[str, ...]
     systems: Tuple[SystemValidation, ...]
-    #: The per-system speedup tables the validation was scored from —
-    #: carried (not compared) so :func:`revalidate_subset` can re-score
-    #: a changed subset without re-fetching/re-profiling anything.
-    scores: Optional[Dict[str, Dict[str, float]]] = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def mean_error(self) -> float:
@@ -100,69 +93,24 @@ def validate_subset(
     ) as validate_span:
         scores = published_speedups(names, systems=systems, profiler=profiler)
         validate_span.set(systems=len(scores))
-        validations = _score_subset(scores, subset, weights)
-    return ValidationResult(
-        suite=suite,
-        subset=tuple(subset),
-        systems=tuple(validations),
-        scores=scores,
-    )
-
-
-def _score_subset(
-    scores: Dict[str, Dict[str, float]],
-    subset: Sequence[str],
-    weights: Optional[Sequence[float]],
-) -> List[SystemValidation]:
-    validations: List[SystemValidation] = []
-    for system_name, speedups in scores.items():
-        full = geometric_mean(speedups.values())
-        values = [speedups[b] for b in subset]
-        if weights is not None:
-            partial = weighted_geometric_mean(values, weights)
-        else:
-            partial = geometric_mean(values)
-        validations.append(
-            SystemValidation(
-                system=system_name,
-                full_score=full,
-                subset_score=partial,
-                error=relative_error(partial, full),
+        validations: List[SystemValidation] = []
+        for system_name, speedups in scores.items():
+            full = geometric_mean(speedups.values())
+            values = [speedups[b] for b in subset]
+            if weights is not None:
+                partial = weighted_geometric_mean(values, weights)
+            else:
+                partial = geometric_mean(values)
+            validations.append(
+                SystemValidation(
+                    system=system_name,
+                    full_score=full,
+                    subset_score=partial,
+                    error=relative_error(partial, full),
+                )
             )
-        )
-    return validations
-
-
-def revalidate_subset(
-    previous: ValidationResult,
-    subset: Sequence[str],
-    weights: Optional[Sequence[float]] = None,
-) -> ValidationResult:
-    """Score a changed subset against the speedup tables already fetched.
-
-    The incremental counterpart of :func:`validate_subset`: when a
-    subset re-selection swaps a representative, only the subset-side
-    geometric means need recomputing — the per-system tables and full
-    scores carry over, so no profiling or database work happens.  Falls
-    back to a fresh validation when ``previous`` carries no tables.
-    """
-    if previous.scores is None:
-        return validate_subset(previous.suite, subset, weights=weights)
-    names = {b for speedups in previous.scores.values() for b in speedups}
-    unknown = [b for b in subset if b not in names]
-    if unknown:
-        raise AnalysisError(
-            f"subset benchmarks not in {previous.suite}: {unknown}"
-        )
-    if weights is not None and len(weights) != len(subset):
-        raise AnalysisError("weights must match the subset length")
-    with span("validate.revalidate", suite=previous.suite.value, k=len(subset)):
-        validations = _score_subset(previous.scores, subset, weights)
     return ValidationResult(
-        suite=previous.suite,
-        subset=tuple(subset),
-        systems=tuple(validations),
-        scores=previous.scores,
+        suite=suite, subset=tuple(subset), systems=tuple(validations)
     )
 
 

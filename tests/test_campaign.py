@@ -496,43 +496,102 @@ class TestCampaignCli:
 
 
 # ----------------------------------------------------------------------
-# incremental fold (the analysis={batch,incremental} knob)
+# incremental fold
 # ----------------------------------------------------------------------
+
+
+def _landed_in_two_folds(directory, damage=None):
+    """Fold after shards 0-1, optionally damage ``incremental/``, then
+    land shard 2 and fold again; returns the final fold document."""
+    from repro.perf.profiler import Profiler
+    from repro.workloads.spec import get_workload
+
+    config = _config()
+    runner = CampaignRunner(directory, config=config)
+    specs = [get_workload(name) for name in config.workloads]
+    machines, store = runner._run_generate(config, specs)
+    profiler = Profiler()
+    runner._run_shard(config, profiler, specs, machines, store, 0)
+    runner._run_shard(config, profiler, specs, machines, store, 1)
+    partial = runner.fold()
+    assert partial["machines_analyzed"] == 6
+    assert partial["machines_folded"] == 6
+    if damage is not None:
+        damage(directory / "incremental")
+    runner._run_shard(config, profiler, specs, machines, store, 2)
+    return runner.fold()
+
+
+def _tamper_schema(directory):
+    path = directory / "schema.json"
+    document = json.loads(path.read_text())
+    document["extra"] = {"tampered": True}
+    path.write_text(json.dumps(document))
+
+
+def _truncate_rows(directory):
+    path = directory / "rows.jsonl"
+    path.write_bytes(path.read_bytes()[:-20])  # cuts the last entry
+
+
+def _reorder_rows(directory):
+    path = directory / "rows.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([lines[1], lines[0], *lines[2:]]))
+
+
+def _flip_matrix_value(directory):
+    matrix = np.load(directory / "matrix.npy", mmap_mode="r+")
+    matrix[0, 0] += 1.0
+    matrix.flush()
+    del matrix
 
 
 class TestIncrementalFold:
     def test_first_fold_matches_the_batch_oracle(self, tmp_path):
+        from repro.stats.kmeans import kmeans
+        from repro.stats.pca import fit_pca
+
         config = _config()
-        batch = CampaignRunner(
-            tmp_path / "batch", config=config, analysis="batch"
-        ).run()["analysis"]
-        incremental = CampaignRunner(
-            tmp_path / "inc", config=config, analysis="incremental"
-        ).run()["analysis"]
-        assert batch["analysis_mode"] == "batch"
-        assert incremental["analysis_mode"] == "incremental"
-        for key in (
-            "machines_analyzed",
-            "machines_total",
-            "features",
-            "kaiser_components",
-            "cumulative_variance",
-            "clusters",
-            "representatives",
-            "inertia",
-        ):
-            assert incremental[key] == batch[key], key
-        assert incremental["machines_folded"] == 8
+        runner = CampaignRunner(tmp_path / "camp", config=config)
+        folded = runner.run()["analysis"]
+        # The oracle: an exact refit over every machine block.
+        store = CampaignStore.open(runner.store_dir)
+        names = list(store.machines)
+        labels = tuple(
+            f"{workload}:{metric}"
+            for workload in store.workloads
+            for metric in store.metrics
+        )
+        features = np.stack(
+            [store.machine_block(index).ravel() for index in range(len(names))]
+        )
+        pca = fit_pca(features, feature_labels=labels)
+        scores = pca.retained_scores()
+        clustering = kmeans(
+            scores, min(config.clusters, len(names)), seed=config.seed
+        )
+        oracle = {
+            "machines_analyzed": len(names),
+            "machines_total": len(names),
+            "features": len(labels),
+            "kaiser_components": pca.kaiser_components,
+            "cumulative_variance": pca.cumulative_variance(),
+            "clusters": clustering.clusters(names),
+            "representatives": clustering.representatives(scores, names),
+            "inertia": clustering.inertia,
+        }
+        for key, expected in oracle.items():
+            assert folded[key] == expected, key
+        assert folded["machines_folded"] == 8
 
     def test_repeat_fold_appends_nothing(self, tmp_path):
         obs.enable()
-        runner = CampaignRunner(
-            tmp_path / "camp", config=_config(), analysis="incremental"
-        )
+        runner = CampaignRunner(tmp_path / "camp", config=_config())
         first = runner.run()["analysis"]
         assert first["machines_folded"] == 8
         obs.metrics.reset()
-        second = runner.fold(analysis="incremental")
+        second = runner.fold()
         assert second["machines_folded"] == 0
         assert second["machines_analyzed"] == 8
         counters = obs.metrics.snapshot()["counters"]
@@ -543,38 +602,30 @@ class TestIncrementalFold:
     def test_midcampaign_fold_then_completion_folds_only_new_blocks(
         self, tmp_path
     ):
-        from repro.perf.profiler import Profiler
-        from repro.workloads.spec import get_workload
-
-        config = _config()
-        runner = CampaignRunner(tmp_path / "camp", config=config)
-        specs = [get_workload(name) for name in config.workloads]
-        machines, store = runner._run_generate(config, specs)
-        profiler = Profiler()
-        runner._run_shard(config, profiler, specs, machines, store, 0)
-        runner._run_shard(config, profiler, specs, machines, store, 1)
-        partial = runner.fold(analysis="incremental")
-        assert partial["machines_analyzed"] == 6
-        assert partial["machines_folded"] == 6
-        runner._run_shard(config, profiler, specs, machines, store, 2)
-        final = runner.fold(analysis="incremental")
+        final = _landed_in_two_folds(tmp_path / "camp")
         assert final["machines_analyzed"] == 8
         assert final["machines_folded"] == 2
 
-    def test_mode_comes_from_environment_when_unset(
-        self, tmp_path, monkeypatch
-    ):
-        runner = CampaignRunner(tmp_path / "camp", config=_config())
-        runner.run()
-        monkeypatch.setenv("REPRO_ANALYSIS", "batch")
-        document = runner.fold()
-        assert document["analysis_mode"] == "batch"
-
-    def test_constructor_mode_beats_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYSIS", "batch")
-        runner = CampaignRunner(
-            tmp_path / "camp", config=_config(), analysis="incremental"
-        )
-        runner.run()
-        document = runner.fold()
-        assert document["analysis_mode"] == "incremental"
+    @pytest.mark.parametrize(
+        "damage",
+        [_tamper_schema, _truncate_rows, _reorder_rows, _flip_matrix_value],
+        ids=["tampered-schema", "truncated-rows", "reordered-rows",
+             "flipped-matrix-value"],
+    )
+    def test_damaged_incremental_store_is_rebuilt(self, tmp_path, damage):
+        obs.enable()
+        undamaged = _landed_in_two_folds(tmp_path / "clean")
+        assert obs.metrics.snapshot()["counters"].get(
+            "campaign.fold_rebuilds", 0.0
+        ) == 0.0
+        rebuilt = _landed_in_two_folds(tmp_path / "damaged", damage)
+        assert obs.metrics.snapshot()["counters"][
+            "campaign.fold_rebuilds"
+        ] == 1.0
+        # The rebuild refolds all 8 machines from the columnar store in
+        # one exact fit; only that bookkeeping differs.
+        assert rebuilt["machines_folded"] == 8
+        assert rebuilt["refactorizations"] == 1
+        for key in ("machines_folded", "refactorizations"):
+            del rebuilt[key], undamaged[key]
+        assert rebuilt == undamaged

@@ -526,31 +526,3 @@ class TestAnalyze:
     def test_status_of_missing_store_is_an_error(self, capsys, tmp_path):
         assert main(["analyze", "status", str(tmp_path / "none")]) == 1
         assert "error:" in capsys.readouterr().err
-
-
-class TestAnalysisModeFlag:
-    def test_subset_output_is_identical_in_both_modes(self, capsys):
-        assert main(
-            ["subset", "rate-int", "-k", "3", "--analysis", "batch"]
-        ) == 0
-        batch = capsys.readouterr().out
-        assert main(
-            ["subset", "rate-int", "-k", "3", "--analysis", "incremental"]
-        ) == 0
-        assert capsys.readouterr().out == batch
-
-    def test_environment_mode_is_honoured(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYSIS", "batch")
-        assert main(["subset", "rate-int", "-k", "3"]) == 0
-        assert "reduction" in capsys.readouterr().out
-
-    def test_invalid_environment_mode_is_an_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYSIS", "nope")
-        assert main(["subset", "rate-int", "-k", "3"]) == 1
-        assert "unknown analysis" in capsys.readouterr().err
-
-    def test_invalid_flag_value_is_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["subset", "rate-int", "--analysis", "sorta"]
-            )

@@ -18,14 +18,7 @@ import pytest
 
 from tests.parity import stable_seed
 from repro import obs
-from repro.errors import AnalysisError, ConfigurationError
-from repro.stats.distance import (
-    append_to_condensed,
-    append_to_square,
-    condensed_from_square,
-    euclidean_distance_matrix,
-    euclidean_row,
-)
+from repro.errors import AnalysisError
 from repro.stats.incremental import (
     DRIFT_TOLERANCE,
     SCORE_TOLERANCE,
@@ -33,7 +26,6 @@ from repro.stats.incremental import (
     IncrementalPca,
     StreamingMoments,
     reselect_representatives,
-    resolve_analysis_mode,
 )
 from repro.stats.kmeans import kmeans
 from repro.stats.pca import fit_pca
@@ -59,33 +51,6 @@ def _clustered_matrix(
         base[i % centers] + rng.normal(size=d) * 0.5 for i in range(n)
     ]
     return np.stack(rows)
-
-
-# ----------------------------------------------------------------------
-# mode resolution
-# ----------------------------------------------------------------------
-
-
-class TestResolveAnalysisMode:
-    def test_defaults_to_incremental(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ANALYSIS", raising=False)
-        assert resolve_analysis_mode() == "incremental"
-
-    def test_environment_sets_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYSIS", "batch")
-        assert resolve_analysis_mode() == "batch"
-
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYSIS", "batch")
-        assert resolve_analysis_mode("incremental") == "incremental"
-
-    def test_rejects_unknown_modes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ANALYSIS", raising=False)
-        with pytest.raises(ConfigurationError, match="unknown analysis"):
-            resolve_analysis_mode("sorta")
-        monkeypatch.setenv("REPRO_ANALYSIS", "nope")
-        with pytest.raises(ConfigurationError, match="unknown analysis"):
-            resolve_analysis_mode()
 
 
 # ----------------------------------------------------------------------
@@ -398,53 +363,6 @@ class TestReselectRepresentatives:
         result = kmeans(points + np.arange(4)[:, None], 2, seed=1)
         with pytest.raises(AnalysisError, match="labels"):
             reselect_representatives(points, result, ["a", "b"])
-
-
-# ----------------------------------------------------------------------
-# incremental distance rows (satellite)
-# ----------------------------------------------------------------------
-
-
-class TestDistanceAppend:
-    @pytest.mark.parametrize("n,d", [(1, 4), (5, 3), (40, 9)])
-    def test_row_matches_the_batch_matrix_slice(self, n, d):
-        rng = np.random.default_rng(stable_seed("dist", n, d))
-        points = rng.normal(size=(n, d))
-        new = rng.normal(size=d)
-        full = euclidean_distance_matrix(np.vstack([points, new]))
-        row = euclidean_row(points, new)
-        np.testing.assert_allclose(row, full[n, :n], rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("n,d", [(1, 4), (5, 3), (40, 9)])
-    def test_square_and_condensed_growth_match_recompute(self, n, d):
-        rng = np.random.default_rng(stable_seed("dist", "grow", n, d))
-        points = rng.normal(size=(n, d))
-        new = rng.normal(size=d)
-        square = euclidean_distance_matrix(points)
-        row = euclidean_row(points, new)
-        grown = append_to_square(square, row)
-        full = euclidean_distance_matrix(np.vstack([points, new]))
-        np.testing.assert_allclose(grown, full, rtol=1e-12, atol=1e-12)
-        assert grown[n, n] == 0.0
-        condensed = append_to_condensed(
-            condensed_from_square(square), n, row
-        )
-        np.testing.assert_allclose(
-            condensed, condensed_from_square(full), rtol=1e-12, atol=1e-12
-        )
-
-    def test_shape_errors(self):
-        points = np.zeros((3, 2))
-        with pytest.raises(AnalysisError):
-            euclidean_row(points, np.zeros(3))
-        with pytest.raises(AnalysisError):
-            append_to_square(np.zeros((3, 3)), np.zeros(2))
-        with pytest.raises(AnalysisError):
-            append_to_square(np.zeros((3, 2)), np.zeros(3))
-        with pytest.raises(AnalysisError):
-            append_to_condensed(np.zeros(3), 3, np.zeros(2))
-        with pytest.raises(AnalysisError):
-            append_to_condensed(np.zeros(4), 3, np.zeros(3))
 
 
 # ----------------------------------------------------------------------
