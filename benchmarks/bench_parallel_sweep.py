@@ -1,7 +1,8 @@
 """Benchmark — parallel trace-engine sweep, cold vs warm disk cache.
 
 Times the same (workload, machine) trace-profiling sweep at 1/2/4
-workers with a cold in-process cache, and once more against a warm
+jobs (``jobs > 1`` runs that many worker processes) with a cold
+in-process cache, and once more against a warm
 persistent disk cache, quantifying the two scaling levers this repo
 offers for larger cross-suite studies: fan-out and persistence.  Each
 variant asserts bit-identical results against the serial baseline, so
@@ -23,7 +24,7 @@ MACHINES = ("skylake-i7-6700", "sparc-t4", "xeon-e5405")
 TRACE_INSTRUCTIONS = 20_000
 
 
-def _sweep(jobs, cache_dir=None, backend="thread"):
+def _sweep(jobs, cache_dir=None):
     profiler = Profiler(
         engine="trace",
         trace_instructions=TRACE_INSTRUCTIONS,
@@ -34,7 +35,6 @@ def _sweep(jobs, cache_dir=None, backend="thread"):
         machines=MACHINES,
         profiler=profiler,
         jobs=jobs,
-        backend=backend,
     )
     return matrix, profiler
 
@@ -45,17 +45,12 @@ def serial_digest():
     return matrix.digest()
 
 
-# Thread workers share the GIL (the engines are pure Python), so their
-# cold-sweep scaling is bounded by core count; the process backend is
-# the true fan-out path on multi-core hosts.
-@pytest.mark.parametrize(
-    "jobs,backend",
-    [(1, "thread"), (2, "thread"), (4, "thread"), (4, "process")],
-)
-def test_parallel_sweep_cold(run_once, serial_digest, jobs, backend, benchmark):
-    matrix, profiler = run_once(_sweep, jobs, None, backend)
+# Cold-sweep scaling is bounded by core count: jobs=1 is the in-process
+# serial path, jobs > 1 pays the worker-process start-up once per sweep.
+@pytest.mark.parametrize("jobs", (1, 2, 4))
+def test_parallel_sweep_cold(run_once, serial_digest, jobs, benchmark):
+    matrix, profiler = run_once(_sweep, jobs, None)
     benchmark.extra_info["jobs"] = jobs
-    benchmark.extra_info["backend"] = backend
     benchmark.extra_info["cache"] = "cold"
     assert matrix.digest() == serial_digest
     assert profiler.cache_info().misses == len(WORKLOADS) * len(MACHINES)

@@ -1,6 +1,6 @@
 """Benchmark — resource-profiler overhead and digest identity.
 
-Times the same process-backend trace sweep with the sampling resource
+Times the same ``--jobs 2`` trace sweep with the sampling resource
 profiler attached (``--profile all``) and without it, best-of-3 each,
 and asserts the guarantee that makes profiling safe to leave on:
 report digests are bit-identical in every mode.  The measured sampler
@@ -43,7 +43,6 @@ def _sweep(profile="off"):
         machines=MACHINES,
         profiler=profiler,
         jobs=JOBS,
-        backend="process",
         profile=profile,
     )
 
@@ -117,7 +116,7 @@ def _cli_run(profile):
     argv = [
         sys.executable, "-m", "repro.cli", "dataset",
         "--suite", "rate-int", "--engine", "trace",
-        "--jobs", "2", "--backend", "process",
+        "--jobs", "2",
     ]
     if profile != "off":
         argv += ["--profile", profile]

@@ -98,7 +98,7 @@ _INCREMENTAL_DIR = "incremental"
 class CampaignConfig:
     """Everything that determines a campaign's *results*.
 
-    Execution knobs (jobs, backend, chunk size) live on the runner, not
+    Execution knobs (jobs, chunk size) live on the runner, not
     here: they change wall time, never bytes, so a campaign may be
     resumed under a different worker count and still verify.
     """
@@ -246,9 +246,11 @@ class CampaignRunner:
         Optional pre-built profiler (the CLI threads its cache flags
         through one); must agree with the config's engine parameters.
         Built from the config when omitted.
-    jobs / backend / chunk_size / profile:
+    jobs / chunk_size / profile:
         Executor knobs, exactly as on
         :class:`~repro.perf.executor.ProfilingExecutor`.
+    backend:
+        Compatibility shim: only ``"process"`` is accepted.
     ledger:
         When true, every completed shard is appended to the run-history
         ledger (``ledger_dir`` or the default obs dir) as a
@@ -261,17 +263,25 @@ class CampaignRunner:
         config: Optional[CampaignConfig] = None,
         profiler: Optional[Profiler] = None,
         jobs: int = 1,
-        backend: str = "thread",
+        backend: str = "process",
         chunk_size: Optional[int] = None,
         profile: str = "off",
         ledger: bool = False,
         ledger_dir: Optional[Union[str, Path]] = None,
     ) -> None:
+        # ``backend`` survives only for e2ebench/workloads.py, which
+        # passes backend="process"; the pool is always processes.
+        if backend != "process":
+            raise ConfigurationError(
+                f"unknown backend {backend!r}; the worker pool is always "
+                "processes"
+            )
+        if jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.directory = Path(directory)
         self.config = config
         self._profiler = profiler
         self.jobs = jobs
-        self.backend = backend
         self.chunk_size = chunk_size
         self.profile = profile
         self.ledger = ledger
@@ -581,7 +591,6 @@ class CampaignRunner:
         executor = ProfilingExecutor(
             profiler,
             jobs=self.jobs,
-            backend=self.backend,
             chunk_size=self.chunk_size,
             profile=self.profile,
         )

@@ -38,7 +38,7 @@ regression), ``repro obs flame`` renders as a flamegraph and ``repro
 obs top`` summarizes as hottest-spans/frames tables.
 
 The profiling subcommands (``profile``, ``dataset``, ``export``)
-additionally accept ``--jobs N`` / ``--backend`` (parallel sweep),
+additionally accept ``--jobs N`` (N > 1 runs N worker processes),
 ``--trace-kernel {scalar,vector}`` (trace-engine implementation: fused
 batch replay or the bit-identical scalar per-access oracle;
 ``$REPRO_TRACE_KERNEL`` supplies the default),
@@ -136,22 +136,30 @@ def _obs_options() -> argparse.ArgumentParser:
     return common
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (rejected before any work)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _exec_options() -> argparse.ArgumentParser:
     """Shared parallel-sweep / disk-cache options."""
     common = argparse.ArgumentParser(add_help=False)
     group = common.add_argument_group("execution")
     group.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
-        help="profile (workload, machine) pairs on N parallel workers",
-    )
-    group.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker pool backend for --jobs > 1 (default: thread)",
+        help=(
+            "profile (workload, machine) pairs on N worker processes "
+            "(default: 1, in-process)"
+        ),
     )
     group.add_argument(
         "--trace-kernel",
@@ -707,7 +715,6 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
         _suite_names(args.suite),
         profiler=profiler,
         jobs=args.jobs,
-        backend=args.backend,
         profile=getattr(args, "profile", "off"),
     )
     print(f"{args.suite}: {matrix.n_workloads} x {matrix.n_features} "
@@ -732,7 +739,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
         _suite_names(args.suite),
         profiler=_make_profiler(args),
         jobs=args.jobs,
-        backend=args.backend,
         profile=getattr(args, "profile", "off"),
     )
     path = feature_matrix_to_csv(matrix, args.out)
@@ -835,7 +841,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         config=config,
         profiler=_campaign_profiler(args, config),
         jobs=args.jobs,
-        backend=args.backend,
         profile=getattr(args, "profile", "off"),
         ledger=args.ledger,
     )
@@ -873,7 +878,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             names,
             profiler=_make_profiler(args),
             jobs=args.jobs,
-            backend=args.backend,
             profile=getattr(args, "profile", "off"),
         )
         store = FeatureMatrixStore.create(
@@ -914,7 +918,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 args, engine=str(store.extra.get("engine", "analytic"))
             ),
             jobs=args.jobs,
-            backend=args.backend,
             profile=getattr(args, "profile", "off"),
         )
         if row.features != store.features:
@@ -1380,17 +1383,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if profiled:
             # --profile alone attaches only the sampler — span tracing
             # stays off so the profiler's measured overhead vs a plain
-            # run is the sampler's own cost, nothing else.  Thread
-            # -backend pool workers share this process but run off the
-            # main thread, where SIGPROF never fires, so sample them
-            # with the wall-clock thread sampler instead.
-            sampler = (
-                "thread"
-                if getattr(args, "backend", None) == "thread"
-                and getattr(args, "jobs", 1) > 1
-                else "auto"
-            )
-            obs.profiling.start_session(profile_mode, sampler=sampler)
+            # run is the sampler's own cost, nothing else.  Pool
+            # workers run their own per-chunk samplers.
+            obs.profiling.start_session(profile_mode)
     try:
         return _COMMANDS[args.command](args)
     except ReproError as error:

@@ -133,7 +133,6 @@ def evaluate_design_space(
     variants: Sequence[DesignVariant],
     profiler: Optional[Profiler] = None,
     jobs: int = 1,
-    backend: str = "thread",
 ) -> DesignEvaluation:
     """Geomean speedup of each variant over the baseline.
 
@@ -142,6 +141,7 @@ def evaluate_design_space(
     studies).  With ``jobs > 1`` every (variant, workload) profile is
     prefilled through the parallel executor first; the evaluation then
     reads the profiler cache, so results match the serial path exactly.
+    ``jobs`` below 1 is a :class:`~repro.errors.ConfigurationError`.
 
     Under the trace engine, baseline and variants replay the *same* synthesized trace whenever
     a variant keeps the baseline's (line_bytes, page_bytes) — the
@@ -156,6 +156,8 @@ def evaluate_design_space(
     simulated over one shared set partition — bit-identical to per-pair
     replay, several times faster on geometry-sharing variants.
     """
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     if not variants:
         raise AnalysisError("need at least one design variant")
     if variants[0].name != "baseline":
@@ -174,7 +176,7 @@ def evaluate_design_space(
         if jobs > 1 or profiler.engine == "trace":
             from repro.perf.executor import ProfilingExecutor
 
-            executor = ProfilingExecutor(profiler, jobs=jobs, backend=backend)
+            executor = ProfilingExecutor(profiler, jobs=jobs)
             executor.run(
                 [
                     (spec, variant.machine)
@@ -223,7 +225,6 @@ def subset_design_fidelity(
     variants: Optional[Sequence[DesignVariant]] = None,
     profiler: Optional[Profiler] = None,
     jobs: int = 1,
-    backend: str = "thread",
 ) -> SubsetFidelity:
     """Does the subset rank the design variants like the full suite?"""
     missing = [name for name in subset if name not in all_workloads]
@@ -233,11 +234,10 @@ def subset_design_fidelity(
     profiler = profiler or Profiler()
     with span("designspace.fidelity", subset_k=len(subset)):
         full = evaluate_design_space(
-            all_workloads, variants, profiler=profiler, jobs=jobs,
-            backend=backend,
+            all_workloads, variants, profiler=profiler, jobs=jobs
         )
         partial = evaluate_design_space(
-            subset, variants, profiler=profiler, jobs=jobs, backend=backend,
+            subset, variants, profiler=profiler, jobs=jobs
         )
 
     names = sorted(full.speedups)

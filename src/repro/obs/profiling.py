@@ -14,8 +14,10 @@ Three cooperating pieces:
   so SIGPROF fires after consumed *CPU* time (CPU-weighted samples,
   near-zero cost while blocked) — but POSIX delivers signals only to
   the main thread, so a daemon-thread sampler walking
-  ``sys._current_frames()`` (wall-weighted, sees every thread) is both
-  the fallback and the explicit choice for executor workers.
+  ``sys._current_frames()`` (wall-weighted, sees every thread) is the
+  fallback.  The CLI session always starts with ``auto`` (the parent
+  runs its sweep on the main thread); executor pool workers choose the
+  thread sampler for their short per-chunk sessions.
 * **Memory gauges.**  Peak RSS comes from ``VmHWM`` in
   ``/proc/self/status`` (free to read, covers native allocations).
   Python-heap attribution uses ``tracemalloc`` — but tracing every
@@ -27,7 +29,7 @@ Three cooperating pieces:
   allocate identically, so one measured instance is representative and
   the amortized cost over a sweep is negligible.  Alloc probes fire
   only in the parent process; workers report peak RSS.
-* **Cross-process merge.**  Process-backend executor workers run their
+* **Cross-process merge.**  Executor pool workers run their
   own thread-sampler profiler per chunk and ship ``ProfileData`` dicts
   back with the results; :func:`absorb_worker_profile` folds them into
   the parent's active session with per-worker (pid) attribution.

@@ -14,7 +14,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.obs.progress import progress as obs_progress
 from repro.obs.trace import span
 from repro.perf.counters import SIMILARITY_METRICS, Metric
@@ -129,7 +129,6 @@ def build_feature_matrix(
     metrics: Sequence[Metric] = SIMILARITY_METRICS,
     profiler: Optional[Profiler] = None,
     jobs: int = 1,
-    backend: str = "thread",
     profile: str = "off",
 ) -> FeatureMatrix:
     """Profile workloads on machines and assemble the feature matrix.
@@ -137,14 +136,16 @@ def build_feature_matrix(
     Defaults to the paper's setup: the Table III similarity metrics on
     the seven Table IV machines.
 
-    With ``jobs > 1`` the profiling sweep fans out over a worker pool
-    (:mod:`repro.perf.executor`).  The matrix is assembled from the
-    per-pair reports in input order and each report is deterministic,
-    so the result is bit-identical to the serial build for any worker
-    count or backend.  ``profile`` forwards the ``--profile`` resource
-    mode to process-backend workers (observability only; never changes
+    With ``jobs > 1`` the profiling sweep fans out over ``jobs`` worker
+    processes (:mod:`repro.perf.executor`).  The matrix is assembled
+    from the per-pair reports in input order and each report is
+    deterministic, so the result is bit-identical to the serial build
+    for any worker count.  ``profile`` forwards the ``--profile``
+    resource mode to pool workers (observability only; never changes
     the matrix).
     """
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     specs = [
         get_workload(w) if isinstance(w, str) else w for w in workloads
     ]
@@ -181,9 +182,7 @@ def build_feature_matrix(
                 for spec in specs
                 for machine in machine_configs
             ]
-            executor = ProfilingExecutor(
-                profiler, jobs=jobs, backend=backend, profile=profile
-            )
+            executor = ProfilingExecutor(profiler, jobs=jobs, profile=profile)
             reports = executor.run(pairs, progress_label="dataset.sweep")
 
             def report_for(i: int, j: int):

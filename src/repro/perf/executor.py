@@ -3,17 +3,21 @@
 The paper's measurement sweep — 80 workloads x 7 machines x 2 engines —
 is embarrassingly parallel: every (workload, machine) pair is an
 independent, deterministic computation.  :class:`ProfilingExecutor`
-fans a pair list out over a ``concurrent.futures`` thread or process
-pool in fixed-size chunks — grouped by workload
+has two paths: ``jobs == 1`` computes in-process (the serial
+reference), and ``jobs > 1`` fans the pair list out over a
+``concurrent.futures`` process pool of ``jobs`` workers in fixed-size
+chunks — grouped by workload
 (:func:`workload_chunks`) so a pool worker synthesizes each shared
 trace at most once — and reassembles the results **by input index**.
 Chunk payloads are built lazily and at most ``jobs *
 _CHUNKS_PER_WORKER`` chunks are in flight at once, so a
 campaign-scale sweep (tens of thousands of pending pairs) holds a
-bounded window of payload tuples rather than all of them.  Results are
-so the output is identical to the serial sweep regardless of worker
-count, chunk size, backend or completion order (see DESIGN.md,
-"Parallel execution & caching").
+bounded window of payload tuples rather than all of them.  Results land
+by input index, so the output is identical to the serial sweep
+regardless of worker count, chunk size or completion order (see
+DESIGN.md, "Parallel execution & caching").  The engines are pure
+Python, so a thread pool would only contend for the GIL; there is no
+thread path.
 
 Interplay with the caches: the main process probes the profiler's
 memory and disk caches first and only dispatches the remaining pairs;
@@ -29,11 +33,10 @@ remaining chunks are cancelled.
 
 Observability: the sweep runs under an ``executor.sweep`` span whose
 :class:`~repro.obs.trace.TraceContext` is serialized into every chunk
-payload.  Thread-backend workers re-attach their ``executor.chunk``
-spans to the live sweep span; process-backend workers record spans
-into a local buffer (``begin_remote_capture``) that is shipped back
-with the chunk results and merged under the sweep span in chunk-index
-order, so ``--trace-out`` shows per-worker swim-lanes either way.  The
+payload.  Pool workers record spans into a local buffer
+(``begin_remote_capture``) that is shipped back with the chunk results
+and merged under the sweep span in chunk-index order, so
+``--trace-out`` shows per-worker swim-lanes.  The
 pool exports ``executor.pool.jobs`` / ``executor.pool.inflight`` /
 ``executor.pool.peak_inflight`` gauges (the peak is capped by the
 submission window), ``executor.tasks.{completed,from_cache}`` /
@@ -53,7 +56,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -76,10 +78,7 @@ from repro.perf.profiler import (
 from repro.uarch.machine import MachineConfig, get_machine
 from repro.workloads.spec import WorkloadSpec, get_workload
 
-__all__ = ["ProfilingExecutor", "chunk_spans", "workload_chunks", "BACKENDS"]
-
-#: Supported pool backends ("serial" bypasses the pool entirely).
-BACKENDS = ("serial", "thread", "process")
+__all__ = ["ProfilingExecutor", "chunk_spans", "workload_chunks"]
 
 #: Target number of chunks per worker; >1 smooths load imbalance
 #: between cheap (analytic) and expensive (trace) pairs.
@@ -91,11 +90,10 @@ Pair = Tuple[WorkloadSpec, MachineConfig]
 # kernel) plus the chunk's pairs, tagged with the chunk index so
 # results can be reassembled deterministically, the sweep's trace
 # context (or None while tracing is off), the submitting process's pid
-# (lets a worker tell process from thread dispatch even when tracing is
-# off), the resource profile mode for process workers, the
-# live-telemetry queue proxy (or None while the hub is off / backend is
-# threaded), and the submit-time wall clock for the queue-wait
-# histogram.
+# (lets a test that calls the worker function in-process leave the test
+# process's global observability state alone), the resource profile
+# mode, the live-telemetry queue proxy (or None while the hub is off),
+# and the submit-time wall clock for the queue-wait histogram.
 _ChunkPayload = Tuple[
     int, str, int, int, str, List[Pair],
     Optional[TraceContext], int, str, Optional[object], Optional[float],
@@ -184,10 +182,9 @@ def _profile_chunk(
     Returns ``(chunk_index, outcomes, extras)`` where each outcome is
     ``("ok", report)`` or ``("err", label, traceback_text)`` — errors
     are marshalled as strings because not every exception survives
-    pickling back from a process worker.  ``extras`` carries the
+    pickling back from a worker process.  ``extras`` carries the
     worker's observability sidecar: queue-wait seconds, serialized
-    spans plus an optional resource profile when the worker runs in a
-    separate process, and the worker pid.
+    spans plus an optional resource profile, and the worker pid.
     """
     (
         chunk_index,
@@ -241,27 +238,16 @@ def _profile_chunk(
                 alloc_probes=False,
             )
             chunk_profiler.start()
-        opener = span("executor.chunk", chunk=chunk_index, pairs=len(pairs))
-    elif context is not None:
-        opener = obs_trace.child_span(
-            "executor.chunk",
-            parent=obs_trace.resolve_live_span(context.span_id),
-            chunk=chunk_index,
-            pairs=len(pairs),
-        )
-    else:
-        opener = span("executor.chunk", chunk=chunk_index, pairs=len(pairs))
-    # Live telemetry: remote workers got a queue proxy in the payload;
-    # thread workers talk to the in-process hub directly.  Either way
-    # this is pure observation — nothing here touches the result path.
-    live = telemetry is not None or obs_live.hub_active()
+    # Live telemetry: workers got a queue proxy in the payload while the
+    # hub is on.  This is pure observation — nothing here touches the
+    # result path.
+    live = telemetry is not None
     counters_before: Optional[Dict[str, float]] = None
     if live:
-        if telemetry is not None:
-            # A process worker's registry is private; snapshot it so
-            # chunk.done can ship the deltas back for the parent hub to
-            # fold in (keeps trace_cache.* series live in /metrics).
-            counters_before = obs_metrics.snapshot()["counters"]
+        # A worker's registry is private; snapshot it so chunk.done can
+        # ship the deltas back for the parent hub to fold in (keeps
+        # trace_cache.* series live in /metrics).
+        counters_before = obs_metrics.snapshot()["counters"]
         obs_live.emit_worker_event(
             telemetry,
             "chunk.start",
@@ -270,7 +256,7 @@ def _profile_chunk(
             rss_bytes=obs_live.current_rss_bytes(),
         )
     outcomes: List[Tuple[str, object]] = []
-    with opener:
+    with span("executor.chunk", chunk=chunk_index, pairs=len(pairs)):
         if _fused_batching(engine, trace_kernel):
             # workload_chunks keeps same-workload pairs adjacent, so
             # contiguous runs hand whole machine batches to the fused
@@ -385,18 +371,14 @@ class ProfilingExecutor:
         The cache-owning :class:`~repro.perf.profiler.Profiler`; its
         engine settings are shipped to the workers.
     jobs:
-        Worker count.  ``1`` short-circuits to the in-process serial
-        path (no pool is created).
-    backend:
-        ``"thread"`` (default; the engines release no GIL but threads
-        keep memory shared and spans visible), ``"process"`` (true
-        parallelism for large trace-engine sweeps) or ``"serial"``.
+        ``1`` (default) computes in-process, the serial reference path;
+        ``N > 1`` runs ``N`` worker processes.
     chunk_size:
         Pairs per dispatched chunk; defaults to an even split of
         roughly four chunks per worker.
     profile:
         Resource-profile mode (``off``/``cpu``/``mem``/``all``) shipped
-        to process-backend workers; their per-chunk profiles are merged
+        to pool workers; their per-chunk profiles are merged
         into the active :mod:`repro.obs.profiling` session.  Never
         affects results.
     """
@@ -405,16 +387,11 @@ class ProfilingExecutor:
         self,
         profiler: Profiler,
         jobs: int = 1,
-        backend: str = "thread",
         chunk_size: Optional[int] = None,
         profile: str = "off",
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         if profile not in obs_profiling.PROFILE_MODES:
             raise ConfigurationError(
                 f"unknown profile mode {profile!r}; expected one of "
@@ -422,7 +399,6 @@ class ProfilingExecutor:
             )
         self.profiler = profiler
         self.jobs = jobs
-        self.backend = backend
         self.chunk_size = chunk_size
         self.profile = profile
 
@@ -439,12 +415,7 @@ class ProfilingExecutor:
             )
             for w, m in pairs
         ]
-        with span(
-            "executor.sweep",
-            pairs=len(resolved),
-            jobs=self.jobs,
-            backend=self.backend,
-        ) as sweep:
+        with span("executor.sweep", pairs=len(resolved), jobs=self.jobs) as sweep:
             return self._run_resolved(
                 resolved,
                 progress_label,
@@ -483,7 +454,7 @@ class ProfilingExecutor:
                 pending.append((spec, config))
         if pending:
             obs_metrics.set_gauge("executor.pool.jobs", self.jobs)
-            if self.jobs == 1 or self.backend == "serial":
+            if self.jobs == 1:
                 self._run_serial(pending, pending_positions, results, ticker)
             else:
                 self._run_pool(
@@ -597,20 +568,13 @@ class ProfilingExecutor:
         sweep: Optional[Span] = None,
     ) -> None:
         chunks = workload_chunks(pending, self.jobs, self.chunk_size)
-        pool_type = (
-            ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
-        )
         context = obs_trace.current_context()
         observed = context is not None or self.profile != "off"
         hub = obs_live.active_hub()
-        # Process workers can't reach the parent hub; give them a
-        # manager-queue side-channel.  Created only while the hub is
-        # active, so hub-off sweeps never pay the manager process.
-        channel = (
-            obs_live.WorkerChannel(hub)
-            if hub is not None and self.backend == "process"
-            else None
-        )
+        # Workers can't reach the parent hub; give them a manager-queue
+        # side-channel.  Created only while the hub is active, so hub-off
+        # sweeps never pay the manager process.
+        channel = obs_live.WorkerChannel(hub) if hub is not None else None
         telemetry = channel.queue if channel is not None else None
 
         def payload_stream():
@@ -636,7 +600,7 @@ class ProfilingExecutor:
         window = max(1, self.jobs * _CHUNKS_PER_WORKER)
         futures: Dict[Future, int] = {}
         try:
-            with pool_type(max_workers=self.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
                 try:
                     stream = payload_stream()
                     remote_spans: Dict[int, List[dict]] = {}
@@ -703,8 +667,7 @@ class ProfilingExecutor:
             raise
         except Exception as error:  # e.g. BrokenProcessPool
             raise ExecutionError(
-                f"profiling pool ({self.backend}, jobs={self.jobs}) "
-                f"failed: {error}"
+                f"profiling pool (jobs={self.jobs}) failed: {error}"
             ) from error
         finally:
             obs_metrics.set_gauge("executor.pool.inflight", 0)
@@ -762,8 +725,8 @@ class ProfilingExecutor:
             # workload@machine, not just the first.
             labels = ", ".join(label for label, _ in failures)
             raise ExecutionError(
-                f"profiling {labels} failed in a "
-                f"{self.backend} worker:\n{failures[0][1]}"
+                f"profiling {labels} failed in a pool worker:\n"
+                f"{failures[0][1]}"
             )
 
     @staticmethod
@@ -773,10 +736,8 @@ class ProfilingExecutor:
         """Graft shipped-back worker spans under the sweep span.
 
         Merging happens once, after every chunk has completed, in
-        chunk-index order — and thread-backend chunk spans that
-        self-attached in completion order are re-sorted the same way —
-        so the span tree depends only on the input, never on worker
-        scheduling.
+        chunk-index order, so the span tree depends only on the input,
+        never on worker scheduling.
         """
         adopted = 0
         for chunk_index in sorted(remote_spans):
@@ -785,10 +746,3 @@ class ProfilingExecutor:
             )
         if adopted:
             obs_metrics.incr("executor.spans.adopted", adopted)
-        if sweep is not None:
-            sweep.children.sort(
-                key=lambda child: (
-                    child.name,
-                    child.attributes.get("chunk", -1),
-                )
-            )

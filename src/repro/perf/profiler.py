@@ -227,7 +227,7 @@ class Profiler:
         )
         self._cache: Dict[Tuple[str, str, str, str], CounterReport] = {}
         # One lock makes lookups, stat updates and cache_info() mutually
-        # consistent when worker threads and a reader race mid-sweep.
+        # consistent when caller threads and a reader race mid-sweep.
         self._lock = threading.Lock()
         # Always-live instance counters back cache_info() in every obs
         # mode; the shared registry counters aggregate across instances.
@@ -332,14 +332,13 @@ class Profiler:
         workloads: Iterable[Union[str, WorkloadSpec]],
         machines: Iterable[Union[str, MachineConfig]],
         jobs: int = 1,
-        backend: str = "thread",
     ) -> List[CounterReport]:
         """Profile the cross product of workloads and machines.
 
-        With ``jobs > 1`` the sweep fans out over a worker pool (see
-        :mod:`repro.perf.executor`); results are returned in the same
-        workload-major order as the serial sweep regardless of worker
-        count.
+        With ``jobs > 1`` the sweep fans out over ``jobs`` worker
+        processes (see :mod:`repro.perf.executor`); results are returned
+        in the same workload-major order as the serial sweep regardless
+        of worker count.
         """
         from repro.perf.executor import ProfilingExecutor
 
@@ -350,7 +349,7 @@ class Profiler:
             get_machine(m) if isinstance(m, str) else m for m in machines
         ]
         pairs = [(spec, config) for spec in specs for config in configs]
-        executor = ProfilingExecutor(self, jobs=jobs, backend=backend)
+        executor = ProfilingExecutor(self, jobs=jobs)
         return executor.run(pairs, progress_label="profiler.sweep")
 
     def cache_info(self) -> CacheInfo:

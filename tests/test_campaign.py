@@ -308,6 +308,16 @@ class TestRunner:
         with pytest.raises(ConfigurationError, match="resume"):
             CampaignRunner(tmp_path / "ghost").run(resume=True)
 
+    def test_invalid_execution_knobs_are_rejected(self, tmp_path):
+        # ``backend`` is a compatibility shim that only accepts the
+        # process pool; both checks fire before anything touches disk.
+        CampaignRunner(tmp_path / "camp", config=_config(), backend="process")
+        with pytest.raises(ConfigurationError, match="backend"):
+            CampaignRunner(tmp_path / "camp", config=_config(), backend="serial")
+        with pytest.raises(ConfigurationError, match="jobs"):
+            CampaignRunner(tmp_path / "camp", config=_config(), jobs=0)
+        assert not (tmp_path / "camp").exists()
+
     def test_mismatched_profiler_is_rejected(self, tmp_path):
         from repro.perf.profiler import Profiler
 

@@ -17,6 +17,30 @@ class TestParser:
             build_parser().parse_args(["fly"])
 
 
+class TestJobsValidation:
+    @pytest.mark.parametrize("jobs", ("0", "-3"))
+    @pytest.mark.parametrize(
+        "verb",
+        (
+            ["dataset", "--suite", "rate-int"],
+            ["export", "--suite", "rate-int", "--out", "{dir}/matrix.csv"],
+            ["profile", "505.mcf_r"],
+            ["campaign", "run", "{dir}"],
+        ),
+        ids=("dataset", "export", "profile", "campaign-run"),
+    )
+    def test_jobs_below_one_is_a_usage_error(
+        self, capsys, tmp_path, verb, jobs
+    ):
+        target = tmp_path / "out"
+        argv = [arg.format(dir=target) for arg in verb] + ["--jobs", jobs]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not target.exists()
+
+
 class TestList:
     def test_list_all(self, capsys):
         assert main(["list"]) == 0

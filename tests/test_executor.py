@@ -7,7 +7,6 @@ import pytest
 from repro import obs
 from repro.errors import ConfigurationError, ExecutionError
 from repro.perf.executor import (
-    BACKENDS,
     ProfilingExecutor,
     _profile_chunk,
     chunk_spans,
@@ -15,6 +14,7 @@ from repro.perf.executor import (
 from repro.perf.profiler import Profiler
 from repro.uarch.machine import get_machine
 from repro.workloads.spec import get_workload
+from tests.launch import CALLERS, call_from
 
 WORKLOADS = ("505.mcf_r", "541.leela_r", "531.deepsjeng_r", "557.xz_r")
 MACHINES = ("skylake-i7-6700", "sparc-t4")
@@ -59,43 +59,53 @@ class TestChunking:
 
 
 class TestBackendEquivalence:
+    """The in-process path (``jobs=1``) and the process pool agree."""
+
     def reference(self):
         return [Profiler().profile(w, m) for w, m in pairs()]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    # ``caller`` is who runs the sweep: the test's main thread
+    # (``serial``), a background thread, or a child process that starts
+    # its own pool (see tests/launch.py).
+    @pytest.mark.parametrize("caller", CALLERS)
     @pytest.mark.parametrize("jobs", (1, 2, 4))
-    def test_every_backend_matches_serial_profiling(self, backend, jobs):
-        executor = ProfilingExecutor(Profiler(), jobs=jobs, backend=backend)
-        assert executor.run(pairs()) == self.reference()
-
-    def test_thread_and_process_agree_for_the_trace_engine(self):
-        def sweep(backend):
-            profiler = Profiler(engine="trace", trace_instructions=2_000)
-            executor = ProfilingExecutor(profiler, jobs=2, backend=backend)
-            return executor.run(pairs()[:4])
-
-        assert sweep("thread") == sweep("process")
+    def test_every_backend_matches_serial_profiling(self, caller, jobs):
+        executor = ProfilingExecutor(Profiler(), jobs=jobs)
+        results = call_from(caller, lambda: executor.run(pairs()))
+        assert results == self.reference()
 
     def test_odd_chunk_sizes_do_not_change_results(self):
         for chunk_size in (1, 3, 100):
             executor = ProfilingExecutor(
-                Profiler(), jobs=3, backend="thread", chunk_size=chunk_size
+                Profiler(), jobs=3, chunk_size=chunk_size
             )
             assert executor.run(pairs()) == self.reference()
 
     def test_duplicate_pairs_are_computed_once_and_fill_every_slot(self):
         profiler = Profiler()
-        executor = ProfilingExecutor(profiler, jobs=2, backend="thread")
+        executor = ProfilingExecutor(profiler, jobs=2)
         doubled = pairs() + pairs()
         results = executor.run(doubled)
         assert results[: len(pairs())] == results[len(pairs()):]
         assert profiler.cache_info().misses == len(pairs())
 
     def test_invalid_configuration_rejected(self):
+        from repro.core.designspace import (
+            evaluate_design_space,
+            standard_design_space,
+        )
+        from repro.perf.dataset import build_feature_matrix
+
         with pytest.raises(ConfigurationError):
             ProfilingExecutor(Profiler(), jobs=0)
+        # The library entry points reject jobs < 1 up front too, rather
+        # than silently taking their serial branch.
         with pytest.raises(ConfigurationError):
-            ProfilingExecutor(Profiler(), backend="gpu")
+            build_feature_matrix(WORKLOADS, jobs=0)
+        with pytest.raises(ConfigurationError):
+            evaluate_design_space(
+                WORKLOADS, standard_design_space(), jobs=-3
+            )
 
 
 class TestWorkerFailure:
@@ -111,14 +121,12 @@ class TestWorkerFailure:
 
         monkeypatch.setattr(mod, "compute_report", flaky)
 
-    @pytest.mark.parametrize("jobs,backend", [(1, "thread"), (4, "thread")])
+    @pytest.mark.parametrize("jobs", (1, 4))
     def test_crash_surfaces_execution_error_naming_the_pair(
-        self, monkeypatch, jobs, backend
+        self, monkeypatch, jobs
     ):
         self._crashing(monkeypatch, fail_on="541.leela_r")
-        executor = ProfilingExecutor(
-            Profiler(), jobs=jobs, backend=backend, chunk_size=1
-        )
+        executor = ProfilingExecutor(Profiler(), jobs=jobs, chunk_size=1)
         with pytest.raises(ExecutionError) as excinfo:
             executor.run(pairs())
         message = str(excinfo.value)
@@ -154,7 +162,7 @@ class TestWorkerFailure:
         # after construction to exercise the in-worker failure path.)
         profiler = Profiler(engine="trace")
         profiler.trace_instructions = -1
-        executor = ProfilingExecutor(profiler, jobs=2, backend="process")
+        executor = ProfilingExecutor(profiler, jobs=2)
         with pytest.raises(ExecutionError) as excinfo:
             executor.run(pairs()[:2])
         assert "@" in str(excinfo.value)
@@ -168,16 +176,16 @@ class TestCancellation:
         state = {"calls": 0}
 
         def interrupting(spec, config, engine, **kwargs):
+            # Each forked worker counts its own calls; 8 single-pair
+            # chunks over 2 workers give some worker a third call.
             state["calls"] += 1
-            if state["calls"] == 3:  # mid-sweep Ctrl-C
+            if state["calls"] == 3:  # mid-sweep Ctrl-C in a worker
                 raise KeyboardInterrupt
             return real(spec, config, engine, **kwargs)
 
         monkeypatch.setattr(mod, "compute_report", interrupting)
         profiler = Profiler(cache_dir=tmp_path)
-        executor = ProfilingExecutor(
-            profiler, jobs=2, backend="thread", chunk_size=1
-        )
+        executor = ProfilingExecutor(profiler, jobs=2, chunk_size=1)
         with pytest.raises(KeyboardInterrupt):
             executor.run(pairs())
         # Atomic-rename discipline: no temporaries, and whatever entries
@@ -189,6 +197,9 @@ class TestCancellation:
 
     def test_interrupted_sweep_can_resume_from_disk(self, monkeypatch, tmp_path):
         self.test_cancel_leaves_no_partial_cache_files(monkeypatch, tmp_path)
+        # The resume sweep forks fresh workers whose inherited call
+        # counter is still 0, so the interrupting patch must go first.
+        monkeypatch.undo()
         profiler = Profiler(cache_dir=tmp_path)
         results = ProfilingExecutor(profiler, jobs=2).run(pairs())
         assert len(results) == len(pairs())
@@ -198,7 +209,7 @@ class TestCancellation:
 class TestObservability:
     def test_sweep_exports_pool_metrics(self):
         obs.enable()
-        executor = ProfilingExecutor(Profiler(), jobs=2, backend="thread")
+        executor = ProfilingExecutor(Profiler(), jobs=2)
         executor.run(pairs())
         obs.disable()
         snapshot = obs.snapshot()
@@ -232,7 +243,7 @@ class TestObservability:
         assert snapshot["counters"]["executor.tasks.from_cache"] == len(pairs())
         assert snapshot["counters"]["profiler.cache.hit"] == len(pairs())
 
-    def test_thread_workers_emit_chunk_spans(self):
+    def test_pool_workers_emit_chunk_spans(self):
         obs.enable()
         ProfilingExecutor(Profiler(), jobs=2, chunk_size=2).run(pairs())
         obs.disable()
@@ -244,6 +255,27 @@ class TestObservability:
         assert "executor.sweep" in names
         assert "executor.chunk" in names
         assert "profile" in names
+
+    def test_worker_span_tree_is_in_chunk_order_on_every_run(self):
+        # Worker spans are grafted after the sweep in chunk-index order,
+        # so the tree never depends on which worker finished first.
+        def shape():
+            obs.enable()
+            ProfilingExecutor(Profiler(), jobs=2, chunk_size=1).run(pairs())
+            obs.disable()
+            (root,) = obs.finished_roots()
+            assert root.name == "executor.sweep"
+            return [
+                (child.name, child.attributes["chunk"],
+                 [grandchild.name for grandchild in child.children])
+                for child in root.children
+            ]
+
+        first = shape()
+        assert [chunk for _name, chunk, _kids in first] == list(
+            range(len(pairs()))
+        )
+        assert shape() == first
 
     def test_race_safe_cache_info_mid_sweep(self):
         import threading

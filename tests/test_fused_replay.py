@@ -454,9 +454,7 @@ class TestFusedExecutorCrash:
         self._crash_batches_for(monkeypatch, fail_on="505.mcf_r")
         # chunk_size=2 keeps each workload's machine pairs in one
         # fused chunk (workload_chunks dispatches workload-major).
-        executor = ProfilingExecutor(
-            self._profiler(), jobs=2, backend="thread", chunk_size=2
-        )
+        executor = ProfilingExecutor(self._profiler(), jobs=2, chunk_size=2)
         with pytest.raises(ExecutionError) as excinfo:
             executor.run(self._pairs())
         message = str(excinfo.value)
@@ -471,7 +469,7 @@ class TestFusedExecutorCrash:
             profiler = Profiler(
                 engine="trace", trace_instructions=2_000, trace_kernel=kernel
             )
-            executor = ProfilingExecutor(profiler, jobs=2, backend="thread")
+            executor = ProfilingExecutor(profiler, jobs=2)
             return executor.run(self._pairs())
 
         # The scalar oracle profiles every pair on its own.

@@ -293,36 +293,28 @@ class TestExecutorIntegration:
             for machine in ("skylake-i7-6700", "xeon-e5-2650v4")
         ]
 
-    def _run(self, pairs, jobs=2, backend="thread"):
+    def _run(self, pairs, jobs=2):
         from repro.perf.executor import ProfilingExecutor
         from repro.perf.profiler import Profiler
 
         profiler = Profiler(engine="trace")
-        executor = ProfilingExecutor(profiler, jobs=jobs, backend=backend)
+        executor = ProfilingExecutor(profiler, jobs=jobs)
         return executor.run(pairs)
-
-    def test_thread_sweep_heartbeats_into_the_hub(self, sweep_pairs):
-        hub = obs_live.activate(monitor=False)
-        self._run(sweep_pairs, jobs=2, backend="thread")
-        status = hub.status()
-        assert status["workers"], "pool workers never heartbeat"
-        assert sum(w["pairs_done"] for w in status["workers"]) == len(
-            sweep_pairs
-        )
-        kinds = {e["kind"] for e in hub.recent_events()}
-        assert {"chunk.start", "pair.done", "chunk.done"} <= kinds
-        assert obs_metrics.gauge("executor.chunks.inflight").value == 0.0
 
     def test_process_sweep_ships_events_over_the_channel(self, sweep_pairs):
         # --serve-port implies obs on (the CLI sets it), which is what
         # arms the gated trace_cache.* counters inside the workers.
         obs.enable()
         hub = obs_live.activate(monitor=False)
-        self._run(sweep_pairs, jobs=2, backend="process")
+        self._run(sweep_pairs, jobs=2)
         status = hub.status()
         assert status["workers"], "process workers never heartbeat"
+        assert sum(w["pairs_done"] for w in status["workers"]) == len(
+            sweep_pairs
+        )
         kinds = {e["kind"] for e in hub.recent_events()}
-        assert "chunk.done" in kinds
+        assert {"chunk.start", "pair.done", "chunk.done"} <= kinds
+        assert obs_metrics.gauge("executor.chunks.inflight").value == 0.0
         # Worker-side gated counters were shipped as deltas and folded
         # into the parent registry.  (Misses on a cold trace cache,
         # hits when a forked worker inherited a warm one — either way
@@ -333,9 +325,9 @@ class TestExecutorIntegration:
         )
 
     def test_hub_on_results_identical_to_hub_off(self, sweep_pairs):
-        baseline = self._run(sweep_pairs, jobs=2, backend="thread")
+        baseline = self._run(sweep_pairs, jobs=2)
         obs_live.activate(monitor=False)
-        observed = self._run(sweep_pairs, jobs=2, backend="thread")
+        observed = self._run(sweep_pairs, jobs=2)
         for expected, actual in zip(baseline, observed):
             assert expected.metrics == actual.metrics
 

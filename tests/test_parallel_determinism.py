@@ -1,7 +1,7 @@
 """Determinism regression tests for the parallel sweep and disk cache.
 
 The contract (DESIGN.md, "Parallel execution & caching"): a feature
-matrix built with any worker count, backend or cache temperature is
+matrix built with any worker count or cache temperature is
 **bit-identical** — same floats, same row/column order, same digest —
 to the pre-PR serial build.
 """
@@ -18,6 +18,7 @@ from repro.perf.counters import SIMILARITY_METRICS
 from repro.perf.profiler import Profiler
 from repro.uarch.machine import PAPER_MACHINE_NAMES, get_machine
 from repro.workloads.spec import Suite, workloads_in_suite
+from tests.launch import CALLERS, call_from
 
 WORKLOADS = [s.name for s in workloads_in_suite(Suite.SPEC2017_SPEED_INT)]
 TRACE_KWARGS = dict(engine="trace", trace_instructions=2_000)
@@ -64,15 +65,31 @@ class TestAnalyticEngine:
         assert_bit_identical(serial, pre_pr_serial_matrix(Profiler()))
 
     @pytest.mark.parametrize("jobs", (2, 4))
-    def test_thread_jobs_are_bit_identical(self, serial, jobs):
+    def test_pool_jobs_are_bit_identical(self, serial, jobs):
         parallel = build_feature_matrix(
             WORKLOADS, profiler=Profiler(), jobs=jobs
         )
         assert_bit_identical(serial, parallel)
 
+    @pytest.mark.parametrize("jobs", (2, 4))
+    def test_thread_jobs_are_bit_identical(self, serial, jobs):
+        # The pool launched from a background thread, not the main one.
+        parallel = call_from(
+            "thread",
+            lambda: build_feature_matrix(
+                WORKLOADS, profiler=Profiler(), jobs=jobs
+            ),
+        )
+        assert_bit_identical(serial, parallel)
+
     def test_process_backend_is_bit_identical(self, serial):
-        parallel = build_feature_matrix(
-            WORKLOADS, profiler=Profiler(), jobs=2, backend="process"
+        # The pool launched from a child process, which forks its own
+        # workers; the matrix comes back pickled.
+        parallel = call_from(
+            "process",
+            lambda: build_feature_matrix(
+                WORKLOADS, profiler=Profiler(), jobs=2
+            ),
         )
         assert_bit_identical(serial, parallel)
 
@@ -87,14 +104,18 @@ class TestTraceEngine:
             jobs=1,
         )
 
-    @pytest.mark.parametrize("backend", ("thread", "process"))
-    def test_parallel_trace_sweep_is_bit_identical(self, serial, backend):
-        parallel = build_feature_matrix(
-            WORKLOADS[:4],
-            machines=("skylake-i7-6700", "sparc-t4"),
-            profiler=Profiler(**TRACE_KWARGS),
-            jobs=4,
-            backend=backend,
+    # ``caller``: who launches the pool — the main thread (``serial``),
+    # a background thread or a child process (see tests/launch.py).
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_parallel_trace_sweep_is_bit_identical(self, serial, caller):
+        parallel = call_from(
+            caller,
+            lambda: build_feature_matrix(
+                WORKLOADS[:4],
+                machines=("skylake-i7-6700", "sparc-t4"),
+                profiler=Profiler(**TRACE_KWARGS),
+                jobs=4,
+            ),
         )
         assert_bit_identical(serial, parallel)
 

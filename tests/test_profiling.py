@@ -24,6 +24,7 @@ from repro.perf.executor import ProfilingExecutor, _profile_chunk
 from repro.perf.profiler import Profiler
 from repro.uarch.machine import get_machine
 from repro.workloads.spec import get_workload
+from tests.launch import CALLERS, call_from
 
 
 @pytest.fixture(autouse=True)
@@ -239,7 +240,7 @@ class TestChunkWorkerProtocol:
         )
 
     def test_remote_chunk_ships_profile(self):
-        # parent_pid != os.getpid() simulates a process-backend worker.
+        # parent_pid != os.getpid() simulates a pool worker.
         index, outcomes, extras = _profile_chunk(
             self._payload("cpu", parent_pid=os.getpid() + 1)
         )
@@ -289,27 +290,37 @@ class TestExecutorIntegration:
         machines = [get_machine("skylake-i7-6700"), get_machine("opteron-2435")]
         return [(s, m) for s in specs for m in machines]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_profiled_sweep_matches_unprofiled(self, backend):
-        plain = ProfilingExecutor(Profiler(), jobs=2, backend=backend).run(
-            self._pairs()
-        )
-        profiling.start_session("all", interval_s=0.005)
-        profiled = ProfilingExecutor(
-            Profiler(), jobs=2, backend=backend, profile="all"
-        ).run(self._pairs())
-        data = profiling.end_session()
-        assert [r.metrics for r in profiled] == [r.metrics for r in plain]
-        if backend == "process":
-            assert data.workers
-            assert all(w["pid"] != os.getpid() for w in data.workers)
+    # ``caller``: who runs the sweeps — the main thread (``serial``), a
+    # background thread, or a child process with its own profiling
+    # session (see tests/launch.py).
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_profiled_sweep_matches_unprofiled(self, caller):
+        def sweeps():
+            plain = ProfilingExecutor(Profiler(), jobs=2).run(self._pairs())
+            profiling.start_session("all", interval_s=0.005)
+            try:
+                profiled = ProfilingExecutor(
+                    Profiler(), jobs=2, profile="all"
+                ).run(self._pairs())
+            finally:
+                data = profiling.end_session()
+            return (
+                [r.metrics for r in plain],
+                [r.metrics for r in profiled],
+                [w["pid"] for w in data.workers],
+                os.getpid(),
+            )
+
+        plain, profiled, worker_pids, launcher_pid = call_from(caller, sweeps)
+        assert profiled == plain
+        assert worker_pids
+        assert launcher_pid not in worker_pids
+        assert os.getpid() not in worker_pids
 
     def test_process_sweep_merges_worker_spans(self):
         obs.enable()
         profiling.start_session("cpu", interval_s=0.005)
-        ProfilingExecutor(
-            Profiler(), jobs=2, backend="process", profile="cpu"
-        ).run(self._pairs())
+        ProfilingExecutor(Profiler(), jobs=2, profile="cpu").run(self._pairs())
         profiling.end_session()
         obs.disable()
         own_pid = os.getpid()

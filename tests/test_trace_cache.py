@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import replace
 
 import pytest
@@ -181,16 +181,23 @@ class TestTraceCache:
         def run_once():
             cache = TraceCache(capacity_bytes=400_000)
             seeds = list(range(6)) * 2
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                list(
-                    pool.map(
-                        lambda s: cache.get_or_synthesize(
-                            MCF, 10_000, seed=s, line_bytes=64,
-                            page_bytes=4096,
-                        ),
-                        seeds,
+            errors = []
+
+            def fetch(seed):
+                try:
+                    cache.get_or_synthesize(
+                        MCF, 10_000, seed=seed, line_bytes=64,
+                        page_bytes=4096,
                     )
-                )
+                except Exception as error:  # surfaced by the assert below
+                    errors.append(error)
+
+            threads = [threading.Thread(target=fetch, args=(s,)) for s in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert not errors
             # Replay serially: resident traces must be bit-identical to
             # a fresh synthesis of the same identity.
             info = cache.stats()
@@ -370,9 +377,7 @@ class TestWorkloadChunks:
         workloads = ["505.mcf_r", "541.leela_r"]
         machines = ["skylake-i7-6700", "sparc-t4"]
         expected = serial.profile_many(workloads, machines, jobs=1)
-        actual = parallel.profile_many(
-            workloads, machines, jobs=3, backend="thread"
-        )
+        actual = parallel.profile_many(workloads, machines, jobs=3)
         assert [r.metrics for r in actual] == [r.metrics for r in expected]
         assert [(r.workload, r.machine) for r in actual] == [
             (r.workload, r.machine) for r in expected
