@@ -59,6 +59,7 @@ re-runs the PCA/k-means analysis over the landed shards.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -147,6 +148,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _port(text: str) -> int:
+    """argparse type: a TCP port in 0-65535 (0 picks a free port)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be 0-65535, got {value}")
+    return value
+
+
 def _exec_options() -> argparse.ArgumentParser:
     """Shared parallel-sweep / disk-cache options."""
     common = argparse.ArgumentParser(add_help=False)
@@ -192,7 +215,7 @@ def _exec_options() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--serve-port",
-        type=int,
+        type=_port,
         default=None,
         metavar="N",
         dest="serve_port",
@@ -342,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="machines per checkpointed shard (default: 64)",
     )
     campaign_run_parser.add_argument(
-        "--clusters", type=int, default=7, metavar="K",
+        "--clusters", type=_positive_int, default=7, metavar="K",
         help="k for the fold stage's k-means (default: 7)",
     )
     campaign_run_parser.add_argument(
@@ -394,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=("analytic", "trace"), default="analytic"
     )
     analyze_init_parser.add_argument(
-        "--clusters", type=int, default=3, metavar="K",
+        "--clusters", type=_positive_int, default=3, metavar="K",
         help="k for the engine's k-means (default: 3)",
     )
     analyze_init_parser.add_argument(
@@ -445,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         "history", help="list the recorded runs, oldest first"
     )
     history_parser.add_argument(
-        "--limit", type=int, default=None, metavar="N",
+        "--limit", type=_positive_int, default=None, metavar="N",
         help="show only the newest N runs",
     )
     history_parser.add_argument(
@@ -470,11 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run to check (default: the most recent)",
     )
     check_parser.add_argument(
-        "--window", type=int, default=None, metavar="N",
+        "--window", type=_positive_int, default=None, metavar="N",
         help="baseline over the last N matching runs (default: 20)",
     )
     check_parser.add_argument(
-        "--z-threshold", type=float, default=None, metavar="Z",
+        "--z-threshold", type=_positive_float, default=None, metavar="Z",
         help="robust z-score beyond which a deviation fails (default: 3)",
     )
     check_parser.add_argument(
@@ -508,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run reference: id, id prefix, seq, -N offset, or latest",
     )
     top_parser.add_argument(
-        "-n", type=int, default=10, metavar="N",
+        "-n", type=_positive_int, default=10, metavar="N",
         help="rows per table (default: 10)",
     )
 
@@ -518,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
              "live registry when no run is recorded)",
     )
     serve_parser.add_argument(
-        "--port", type=int, default=8000, metavar="N",
+        "--port", type=_port, default=8000, metavar="N",
         help="port to bind (default: 8000; 0 picks a free port)",
     )
     serve_parser.add_argument(
@@ -997,7 +1020,7 @@ def _cmd_obs_history(args: argparse.Namespace) -> int:
               f"{obs_history.history_dir(args.dir)}")
     runs = obs_history.list_runs(args.dir)
     if args.limit is not None:
-        runs = runs[-max(args.limit, 0):]
+        runs = runs[-args.limit:]
     if args.json:
         print(json.dumps([info.to_dict() for info in runs], indent=2))
         return 0

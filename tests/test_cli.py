@@ -18,6 +18,16 @@ class TestParser:
 
 
 class TestJobsValidation:
+    """Out-of-range numeric flags exit 2 before any work or side effect."""
+
+    def _assert_usage_error(self, capsys, target, verb, flag, value):
+        argv = [arg.format(dir=target) for arg in verb] + [flag, value]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"error: argument {flag}" in capsys.readouterr().err
+        assert not target.exists()
+
     @pytest.mark.parametrize("jobs", ("0", "-3"))
     @pytest.mark.parametrize(
         "verb",
@@ -32,13 +42,33 @@ class TestJobsValidation:
     def test_jobs_below_one_is_a_usage_error(
         self, capsys, tmp_path, verb, jobs
     ):
-        target = tmp_path / "out"
-        argv = [arg.format(dir=target) for arg in verb] + ["--jobs", jobs]
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
-        assert not target.exists()
+        self._assert_usage_error(
+            capsys, tmp_path / "out", verb, "--jobs", jobs
+        )
+
+    @pytest.mark.parametrize(
+        ("verb", "flag", "value"),
+        (
+            (["analyze", "init", "{dir}"], "--clusters", "0"),
+            (["campaign", "run", "{dir}"], "--clusters", "0"),
+            (["obs", "check", "--dir", "{dir}"], "--window", "0"),
+            (["obs", "check", "--dir", "{dir}"], "--window", "-3"),
+            (["obs", "check", "--dir", "{dir}"], "--z-threshold", "-1"),
+            (["obs", "check", "--dir", "{dir}"], "--z-threshold", "nan"),
+            (["obs", "history", "--dir", "{dir}"], "--limit", "0"),
+            (["obs", "history", "--dir", "{dir}"], "--limit", "-1"),
+            (["obs", "top", "--dir", "{dir}"], "-n", "-2"),
+            (["profile", "505.mcf_r"], "--serve-port", "-5"),
+            (["obs", "serve", "--dir", "{dir}"], "--port", "70000"),
+        ),
+        ids=lambda param: (
+            "-".join(param[:2]) if isinstance(param, list) else None
+        ),
+    )
+    def test_out_of_range_value_is_a_usage_error(
+        self, capsys, tmp_path, verb, flag, value
+    ):
+        self._assert_usage_error(capsys, tmp_path / "out", verb, flag, value)
 
 
 class TestList:

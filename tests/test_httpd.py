@@ -55,14 +55,14 @@ class TestEndpoints:
         assert body == "ok\n"
 
     def test_metrics_is_valid_openmetrics_with_content_type(self, server):
-        obs_metrics.counter("trace_cache.spill").add(2)
-        obs_metrics.gauge("trace_cache.spilled_bytes").set(4096)
+        obs_metrics.counter("trace_cache.evict").add(2)
+        obs_metrics.gauge("trace_cache.resident_bytes").set(4096)
         status, headers, body = _get(server.url + "/metrics")
         assert status == 200
         assert headers["Content-Type"] == obs_httpd.OPENMETRICS_CONTENT_TYPE
         families = openmetrics.parse_openmetrics(body)
-        assert "repro_trace_cache_spill" in families
-        assert families["repro_trace_cache_spilled_bytes"]["unit"] == "bytes"
+        assert "repro_trace_cache_evict" in families
+        assert families["repro_trace_cache_resident_bytes"]["unit"] == "bytes"
 
     def test_status_without_hub(self, server):
         status, headers, body = _get(server.url + "/status")

@@ -215,43 +215,36 @@ class TestUnits:
         assert "# UNIT repro_executor_pool_jobs" not in text
 
     def test_spill_tier_series_roundtrip(self):
-        # The trace cache's spill-tier series must survive the full
-        # render -> parse round trip with their unit metadata intact.
+        # The trace cache's eviction counter and byte gauge must survive
+        # the full render -> parse round trip with their unit metadata
+        # intact.
         registry = obs_metrics.MetricsRegistry()
-        registry.counter("trace_cache.spill").add(3)
-        registry.counter("trace_cache.spill_hit").add(2)
-        registry.gauge("trace_cache.spilled_bytes").set(4096)
-        registry.gauge("trace_cache.resident_bytes").set(1 << 20)
+        registry.counter("trace_cache.evict").add(3)
+        registry.gauge("trace_cache.resident_bytes").set(4096)
         families = openmetrics.parse_openmetrics(
             openmetrics.render_openmetrics(registry.snapshot())
         )
-        assert families["repro_trace_cache_spill"]["samples"] == [
-            ("repro_trace_cache_spill_total", {}, 3.0)
+        assert families["repro_trace_cache_evict"]["samples"] == [
+            ("repro_trace_cache_evict_total", {}, 3.0)
         ]
-        assert families["repro_trace_cache_spill_hit"]["samples"] == [
-            ("repro_trace_cache_spill_hit_total", {}, 2.0)
-        ]
-        spilled = families["repro_trace_cache_spilled_bytes"]
-        assert spilled["type"] == "gauge"
-        assert spilled["unit"] == "bytes"
-        assert spilled["samples"][0][2] == 4096.0
-        assert (
-            families["repro_trace_cache_resident_bytes"]["unit"] == "bytes"
-        )
+        resident = families["repro_trace_cache_resident_bytes"]
+        assert resident["type"] == "gauge"
+        assert resident["unit"] == "bytes"
+        assert resident["samples"][0][2] == 4096.0
 
     def test_spill_series_reach_metrics_out_file(self, tmp_path):
-        # A gated spill counter recorded while obs is enabled must land
-        # in the --metrics-out exposition exactly like the CLI path.
+        # A gated trace-cache counter recorded while obs is enabled must
+        # land in the --metrics-out exposition exactly like the CLI path.
         obs.enable()
-        obs.incr("trace_cache.spill")
-        obs.set_gauge("trace_cache.spilled_bytes", 8192)
+        obs.incr("trace_cache.evict")
+        obs.set_gauge("trace_cache.resident_bytes", 8192)
         obs.disable()
         path = openmetrics.write_metrics(
             tmp_path / "metrics.txt", obs.snapshot()
         )
         families = openmetrics.parse_openmetrics(path.read_text())
-        assert "repro_trace_cache_spill" in families
-        assert families["repro_trace_cache_spilled_bytes"]["unit"] == "bytes"
+        assert "repro_trace_cache_evict" in families
+        assert families["repro_trace_cache_resident_bytes"]["unit"] == "bytes"
 
     def test_rejects_unit_for_undeclared_family(self):
         text = "# UNIT x_bytes bytes\n# TYPE x_bytes gauge\nx_bytes 1\n# EOF"

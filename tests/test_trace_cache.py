@@ -117,10 +117,11 @@ class TestTraceCache:
         # Property (c): fill far past a small capacity; residency never
         # exceeds the bound and evictions are oldest-first.
         cache = TraceCache(capacity_bytes=200_000)
+        traces = []
         for seed in range(8):
-            cache.get_or_synthesize(
+            traces.append(cache.get_or_synthesize(
                 MCF, 10_000, seed=seed, line_bytes=64, page_bytes=4096
-            )
+            ))
             assert cache.stats().resident_bytes <= 200_000
         info = cache.stats()
         assert info.misses == 8
@@ -129,6 +130,12 @@ class TestTraceCache:
         # The most recent insertion is resident; the oldest is not.
         assert cache.get(trace_key(MCF, 10_000, 7, 64, 4096)) is not None
         assert cache.get(trace_key(MCF, 10_000, 0, 64, 4096)) is None
+        # An evicted trace is synthesized again, bit-identical.
+        again = cache.get_or_synthesize(
+            MCF, 10_000, seed=0, line_bytes=64, page_bytes=4096
+        )
+        assert cache.stats().misses == 9
+        assert _traces_equal(again, traces[0])
 
     def test_zero_capacity_disables_retention(self):
         cache = TraceCache(capacity_bytes=0)
