@@ -20,6 +20,17 @@ See ``examples/`` for complete walkthroughs and ``benchmarks/`` for the
 per-table / per-figure reproduction harness.
 """
 
+import os
+
+# One BLAS thread: every analysis matrix is small (at most ~1000 x 140),
+# where multi-threaded OpenBLAS only adds start-up and contention noise
+# (a 48 x 48 ``eigh`` measured 16 ms in one process and 0.3 ms in the
+# next on a 2-vCPU host).  Set before the first numpy import so BLAS
+# reads it; a value the user exported wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from repro.core.similarity import SimilarityResult, analyze_similarity
 from repro.core.subsetting import SubsetResult, select_subset, subset_suite
 from repro.core.validation import validate_subset

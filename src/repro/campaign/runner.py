@@ -739,8 +739,6 @@ class CampaignRunner:
             "clusters": summary["clusters"],
             "representatives": summary["representatives"],
             "inertia": summary["inertia"],
-            "drift": summary["drift"],
-            "refactorizations": summary["refactorizations"],
             "machines_folded": appended,
         }
 

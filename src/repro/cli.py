@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_append_parser.add_argument("workload")
 
     add_analyze_parser(
-        "status", help="store inventory: rows, drift, representatives"
+        "status", help="store inventory: rows, representatives"
     )
 
     obs_report_parser = add_parser(
@@ -832,9 +833,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"folded {analysis['machines_analyzed']}/"
               f"{analysis['machines_total']} machines "
               f"({analysis['features']} features)")
-        print(f"  new machines folded: {analysis['machines_folded']} "
-              f"(drift {analysis['drift']:.2e}, "
-              f"{analysis['refactorizations']} refactorizations)")
+        print(f"  new machines folded: {analysis['machines_folded']}")
         print(f"  kaiser components: {analysis['kaiser_components']}")
         for index, members in enumerate(analysis["clusters"]):
             representative = analysis["representatives"][index]
@@ -962,8 +961,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
               f"representative {report['representative']})")
         print(f"  subset: {', '.join(impact['representatives'])}"
               + (" (changed)" if impact["subset_changed"] else " (unchanged)"))
-        print(f"  drift: {report['drift']:.2e}  "
-              f"refactorizations: {report['refactorizations']}")
         return 0
 
     # status
@@ -975,8 +972,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "features": store.n_features,
         "rows_folded": engine.rows_folded,
         "digest": store.digest(),
-        "drift": engine.pca.drift if engine.pca.fitted else None,
-        "refactorizations": engine.pca.refactorizations,
         "representatives": (
             analysis["representatives"] if analysis else []
         ),
@@ -987,9 +982,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print(f"store {status['directory']}: {status['rows']} rows x "
           f"{status['features']} features (verified)")
     print(f"  rows folded: {status['rows_folded']}/{status['rows']}")
-    if status["drift"] is not None:
-        print(f"  drift: {status['drift']:.2e}  "
-              f"refactorizations: {status['refactorizations']}")
     if status["representatives"]:
         print(f"  subset: {', '.join(status['representatives'])}")
     print(f"  digest: {status['digest']}")
@@ -1410,10 +1402,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # workers run their own per-chunk samplers.
             obs.profiling.start_session(profile_mode)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro list | head -1``).
+        # Point stdout at /dev/null so the interpreter's final flush
+        # cannot raise again, and exit as a SIGPIPE-killed process
+        # would (128 + SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     finally:
         if server is not None:
             from repro.obs import live as obs_live

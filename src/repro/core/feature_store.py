@@ -15,14 +15,14 @@ workload (workload-space analyses) or one per machine block
   its label and the sha256 of its float64 bytes, so :meth:`verify` can
   prove the matrix never mutated behind the ledger.
 
-:class:`AnalysisEngine` sits on top: it owns the incremental PCA /
-k-means / representative state from :mod:`repro.stats.incremental`,
-persists it next to the store, and exposes :meth:`refresh` (fold rows
-appended since the last analysis) and :meth:`append` (land one row and
-report its PC coordinates, cluster, and subset impact).  A cold or
-invalidated engine falls back to the exact batch fit — ``fit_pca`` plus
-restarted k-means — so its first analysis is bit-comparable with the
-batch pipeline by construction.
+:class:`AnalysisEngine` sits on top: it refits the PCA exactly
+(``fit_pca``) on every fold, keeps the seeded k-means / representative
+state from :mod:`repro.stats.incremental`, persists that state next to
+the store, and exposes :meth:`refresh` (fold rows appended since the
+last analysis) and :meth:`append` (land one row and report its PC
+coordinates, cluster, and subset impact).  A cold or invalidated engine
+also restarts k-means, so its analysis is bit-comparable with the batch
+pipeline by construction.
 """
 
 from __future__ import annotations
@@ -40,17 +40,15 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.manifest import atomic_write_text
 from repro.obs.trace import span
 from repro.stats.incremental import (
-    DRIFT_TOLERANCE,
     IncrementalKMeans,
     IncrementalPca,
-    StreamingMoments,
     reselect_representatives,
 )
 
 __all__ = ["FeatureMatrixStore", "AnalysisEngine"]
 
 _STORE_SCHEMA = "repro.feature_store/1"
-_ENGINE_SCHEMA = "repro.analysis_engine/1"
+_ENGINE_SCHEMA = "repro.analysis_engine/2"
 _SCHEMA_FILE = "schema.json"
 _MATRIX_FILE = "matrix.npy"
 _ROWS_FILE = "rows.jsonl"
@@ -330,14 +328,16 @@ class FeatureMatrixStore:
 
 
 class AnalysisEngine:
-    """Incremental PCA → k-means → representatives over a feature store.
+    """Exact PCA → seeded k-means → representatives over a feature store.
 
-    The engine persists its state (sufficient statistics, eigensystem,
-    centroids, representative cache, and the last analysis document)
-    next to the store, so repeated refreshes across processes only fold
-    rows appended since the previous one.  Any identity mismatch or
-    corruption silently degrades to a cold start — an exact batch
-    refit — never to a wrong answer.
+    Every fold refits the PCA with ``fit_pca`` over the whole stored
+    matrix, so its scores equal a cold batch fit bit for bit.  The
+    engine persists only what seeds the next fold (centroids,
+    assignment, representative cache, and the last analysis document)
+    next to the store, so repeated refreshes across processes re-cluster
+    from the previous partition instead of restarting k-means.  Any
+    identity mismatch or corruption silently degrades to a cold start —
+    restarted k-means — never to a wrong answer.
     """
 
     def __init__(
@@ -345,7 +345,6 @@ class AnalysisEngine:
         store: FeatureMatrixStore,
         clusters: int,
         seed: int = 2017,
-        tolerance: float = DRIFT_TOLERANCE,
         directory: Optional[PathLike] = None,
     ) -> None:
         if clusters < 1:
@@ -355,11 +354,8 @@ class AnalysisEngine:
         self.store = store
         self.clusters = int(clusters)
         self.seed = int(seed)
-        self.tolerance = float(tolerance)
         self.directory = Path(directory or (store.directory / "engine"))
-        self.pca = IncrementalPca(
-            tolerance=self.tolerance, feature_labels=store.features
-        )
+        self.pca = IncrementalPca(feature_labels=store.features)
         self.kmeans = IncrementalKMeans(self.clusters, seed=self.seed)
         self.rows_folded = 0
         self.representatives: Dict[int, str] = {}
@@ -377,7 +373,6 @@ class AnalysisEngine:
             "features": self.store.n_features,
             "clusters": self.clusters,
             "seed": self.seed,
-            "tolerance": self.tolerance,
         }
 
     def _load(self) -> None:
@@ -398,25 +393,14 @@ class AnalysisEngine:
             if state["rows_folded"] > self.store.rows:
                 raise AnalysisError("engine state is ahead of the store")
             with np.load(arrays_path) as arrays:
-                loaded = {name: arrays[name] for name in arrays.files}
+                centroids = arrays["centroids"]
+                assignment = arrays["assignment"].astype(int)
         except (AnalysisError, ValueError, KeyError, json.JSONDecodeError):
-            # Unusable state: fall back to a cold (exact) start.
+            # Unusable state: fall back to a cold start (restarted k-means).
             obs_metrics.incr("analysis.state_resets")
             return
-        pca = self.pca
-        moments = StreamingMoments(self.store.n_features)
-        moments.n = int(state["rows_folded"])
-        moments.mean = loaded["mean"]
-        moments._m2 = loaded["m2"]
-        pca.moments = moments
-        pca._gram = loaded["gram"]
-        pca._corr = loaded["corr"]
-        pca._eigenvalues = loaded["eigenvalues"]
-        pca._vectors = loaded["vectors"]
-        pca.drift = float(state["drift"])
-        pca.refactorizations = int(state["refactorizations"])
-        self.kmeans.centroids = loaded["centroids"]
-        self.kmeans.assignment = loaded["assignment"].astype(int)
+        self.kmeans.centroids = centroids
+        self.kmeans.assignment = assignment
         self.kmeans.inertia = float(state["inertia"])
         self.rows_folded = int(state["rows_folded"])
         self.representatives = {
@@ -427,20 +411,13 @@ class AnalysisEngine:
 
     def save(self) -> None:
         """Persist the engine state (atomic, checksummed)."""
-        if not self.pca.fitted or not self.kmeans.fitted:
+        if not self.kmeans.fitted:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
         arrays_path = self.directory / _ARRAYS_FILE
         tmp = arrays_path.with_name("arrays.tmp.npz")
-        assert self.pca.moments is not None
         np.savez(
             tmp,
-            mean=self.pca.moments.mean,
-            m2=self.pca.moments._m2,
-            gram=self.pca._gram,
-            corr=self.pca._corr,
-            eigenvalues=self.pca._eigenvalues,
-            vectors=self.pca._vectors,
             centroids=self.kmeans.centroids,
             assignment=self.kmeans.assignment,
         )
@@ -450,8 +427,6 @@ class AnalysisEngine:
                 "schema": _ENGINE_SCHEMA,
                 "identity": self._identity(),
                 "rows_folded": self.rows_folded,
-                "drift": self.pca.drift,
-                "refactorizations": self.pca.refactorizations,
                 "inertia": self.kmeans.inertia,
                 "representatives": {
                     str(cluster): label
@@ -476,12 +451,12 @@ class AnalysisEngine:
     def refresh(self) -> dict:
         """Fold rows appended since the last analysis; return it.
 
-        Cold (or invalidated) state takes the exact path — a verbatim
-        ``fit_pca`` + restarted ``kmeans`` fit, bit-comparable with the
-        batch pipeline.  Warm state folds only the new rows: rank-one
-        PCA updates (exact refactorization when the drift bound trips),
-        a seeded k-means update, and representative re-scoring limited
-        to clusters whose membership changed.
+        Every fold refits the PCA exactly — a verbatim ``fit_pca`` over
+        the stored matrix.  Cold (or invalidated) state then runs a
+        restarted ``kmeans`` fit, bit-comparable with the batch
+        pipeline; warm state runs a k-means update seeded from the
+        previous partition and re-scores representatives only in
+        clusters whose membership changed.
         """
         if self.store.rows < 2:
             raise AnalysisError(
@@ -489,11 +464,7 @@ class AnalysisEngine:
                 f"({self.store.rows} landed)"
             )
         new_rows = self.store.rows - self.rows_folded
-        if (
-            new_rows == 0
-            and self.last_analysis is not None
-            and self.pca.fitted
-        ):
+        if new_rows == 0 and self.last_analysis is not None:
             obs_metrics.incr("analysis.refresh_noops")
             return self.last_analysis
         with span(
@@ -504,29 +475,21 @@ class AnalysisEngine:
             matrix = self.store.values()
             labels = list(self.store.labels)
             k = self._effective_k(self.store.rows)
+            centroids = self.kmeans.centroids
             warm = (
-                self.pca.fitted
-                and self.kmeans.fitted
-                and 0 < self.rows_folded <= self.store.rows
-                and self.kmeans.centroids is not None
-                and self.kmeans.centroids.shape[0] == k
+                centroids is not None
+                and self.rows_folded > 0
+                and centroids.shape[0] == k
             )
-            if not warm:
-                result = self.pca.refactorize(matrix)
-                scores = result.retained_scores()
-                clustering = self.kmeans.fit(scores)
-                changed: frozenset = frozenset(range(clustering.k))
-                previous: Optional[Dict[int, str]] = None
-            else:
-                for row in matrix[self.rows_folded:]:
-                    self.pca.append(row)
-                if self.pca.needs_refactorization:
-                    result = self.pca.refactorize(matrix)
-                else:
-                    result = self.pca.result(matrix)
-                scores = result.retained_scores()
+            result = self.pca.refactorize(matrix)
+            scores = result.retained_scores()
+            if warm:
                 clustering, changed = self.kmeans.update(scores)
-                previous = self.representatives
+                previous: Optional[Dict[int, str]] = self.representatives
+            else:
+                clustering = self.kmeans.fit(scores)
+                changed = frozenset(range(clustering.k))
+                previous = None
             chosen, representatives = reselect_representatives(
                 scores,
                 clustering,
@@ -542,8 +505,6 @@ class AnalysisEngine:
                 "clusters": clustering.clusters(labels),
                 "representatives": chosen,
                 "inertia": clustering.inertia,
-                "drift": self.pca.drift,
-                "refactorizations": self.pca.refactorizations,
                 "rows_folded": new_rows,
             }
             self.rows_folded = self.store.rows
@@ -554,42 +515,6 @@ class AnalysisEngine:
             obs_metrics.set_gauge("analysis.rows_folded", self.rows_folded)
             self.save()
         return analysis
-
-    def force_refactorization(self) -> dict:
-        """Refresh with the approximate eigensystem discarded first."""
-        self.pca.drift = float("inf")
-        self.pca._exact = None
-        if self.rows_folded == self.store.rows:
-            # Nothing new to fold; invalidate the cached analysis so
-            # refresh() recomputes from the exact eigensystem.
-            matrix = self.store.values()
-            result = self.pca.refactorize(matrix)
-            scores = result.retained_scores()
-            clustering, changed = self.kmeans.update(scores)
-            chosen, representatives = reselect_representatives(
-                scores,
-                clustering,
-                list(self.store.labels),
-                previous=self.representatives,
-                changed=changed,
-            )
-            assert self.last_analysis is not None
-            analysis = {
-                **self.last_analysis,
-                "kaiser_components": result.kaiser_components,
-                "cumulative_variance": result.cumulative_variance(),
-                "clusters": clustering.clusters(list(self.store.labels)),
-                "representatives": chosen,
-                "inertia": clustering.inertia,
-                "drift": self.pca.drift,
-                "refactorizations": self.pca.refactorizations,
-            }
-            self.representatives = representatives
-            self.last_analysis = analysis
-            self._scores = scores
-            self.save()
-            return analysis
-        return self.refresh()
 
     def append(self, label: str, values: np.ndarray) -> dict:
         """Land one row and report where it falls.
@@ -636,6 +561,4 @@ class AnalysisEngine:
                 ),
                 "representatives": analysis["representatives"],
             },
-            "drift": analysis["drift"],
-            "refactorizations": analysis["refactorizations"],
         }

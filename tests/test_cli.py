@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -89,6 +94,39 @@ class TestList:
         out = capsys.readouterr().out
         assert "Intel Core i7-6700" in out
         assert "SPARC T4" in out
+
+
+class TestBrokenPipe:
+    def test_reader_closing_after_one_line_is_quiet(self):
+        """``repro list | head -1`` exits without a traceback."""
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("needs Linux pipe sizing")
+        read_fd, write_fd = os.pipe()
+        # A one-page pipe: the listing outgrows it, so the CLI is still
+        # writing when the reader goes away after the first line.
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "list"],
+            stdout=write_fd, stderr=subprocess.PIPE, env=env,
+        )
+        os.close(write_fd)
+        line = b""
+        while not line.endswith(b"\n"):
+            byte = os.read(read_fd, 1)
+            if not byte:
+                break
+            line += byte
+        os.close(read_fd)
+        _, err = proc.communicate(timeout=120)
+        assert line.strip()
+        assert err.decode() == ""
+        assert proc.returncode == 141
 
 
 class TestProfile:
@@ -537,7 +575,6 @@ class TestAnalyze:
         ) == 0
         init = json.loads(capsys.readouterr().out)
         assert init["rows"] >= 2
-        assert init["drift"] == 0.0
         assert init["representatives"]
 
         assert main(
@@ -568,7 +605,7 @@ class TestAnalyze:
         assert "PC coordinates" in out
         assert "cluster" in out
         assert "subset:" in out
-        assert "drift:" in out
+        assert "drift" not in out
 
     def test_append_duplicate_workload_is_an_error(self, capsys, tmp_path):
         directory = str(tmp_path / "store")

@@ -2,12 +2,14 @@
 
 Covers the on-disk format (checksummed schema, per-row ledger, memmap
 growth), tamper detection, and the engine's two refresh paths: cold
-(exact refit, bit-comparable with the batch pipeline) and warm
-(incremental appends with state persisted across processes).
+(exact refit, bit-comparable with the batch pipeline) and warm (seeded
+k-means with state persisted across processes).  On both paths the PCA
+is an exact ``fit_pca``: appended analyses equal a cold fit bit for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -184,7 +186,6 @@ class TestAnalysisEngine:
             points, list(store.labels)
         )
         assert analysis["inertia"] == clustering.inertia
-        assert analysis["drift"] == 0.0
 
     def test_refresh_without_new_rows_is_a_noop(self, tmp_path):
         obs.enable()
@@ -198,19 +199,24 @@ class TestAnalysisEngine:
         assert counters["analysis.refresh_noops"] == 1.0
 
     def test_state_survives_a_process_boundary(self, tmp_path):
+        obs.enable()
         store, _ = _filled_store(tmp_path, n=10)
         engine = AnalysisEngine(store, clusters=3, seed=2017)
         engine.refresh()
-        report = engine.append("fresh", _matrix(1, "x")[0])
+        engine.append("fresh", _matrix(1, "x")[0])
 
+        obs.metrics.reset()
         reopened = FeatureMatrixStore.open(store.directory)
         resumed = AnalysisEngine(reopened, clusters=3, seed=2017)
+        # The resumed engine starts from the persisted state, not a
+        # cold start.
+        assert resumed.rows_folded == 11
+        assert resumed.kmeans.fitted
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters.get("analysis.state_resets", 0.0) == 0.0
         analysis = resumed.refresh()
         assert analysis["rows"] == 11
-        assert resumed.pca.refactorizations >= 1
-        # The resumed engine starts from the persisted state, not a
-        # cold refit of everything.
-        assert analysis["refactorizations"] == report["refactorizations"]
+        assert analysis == engine.last_analysis
 
     def test_corrupted_state_falls_back_to_cold_start(self, tmp_path):
         obs.enable()
@@ -229,10 +235,16 @@ class TestAnalysisEngine:
             assert analysis[key] == baseline[key]
 
     def test_identity_mismatch_resets_state(self, tmp_path):
+        obs.enable()
         store, _ = _filled_store(tmp_path, n=10)
         AnalysisEngine(store, clusters=3, seed=2017).refresh()
+        obs.metrics.reset()
         other = AnalysisEngine(store, clusters=4, seed=2017)
-        assert not other.pca.fitted  # different identity -> cold
+        # Different identity -> cold.
+        assert other.rows_folded == 0
+        assert not other.kmeans.fitted
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["analysis.state_resets"] == 1.0
 
     def test_append_reports_coordinates_cluster_and_impact(self, tmp_path):
         store, _ = _filled_store(tmp_path, n=10)
@@ -251,16 +263,111 @@ class TestAnalysisEngine:
         assert isinstance(impact["subset_changed"], bool)
         assert store.rows == 11  # the row landed in the store
 
-    def test_force_refactorization_restores_exactness(self, tmp_path):
-        store, matrix = _filled_store(tmp_path, n=10)
+
+# ----------------------------------------------------------------------
+# exact appends
+# ----------------------------------------------------------------------
+
+
+def _assert_exact(store, engine, report):
+    """The engine's PCA output equals a cold ``fit_pca``, bit for bit."""
+    cold = fit_pca(store.values(), store.features)
+    scores = cold.retained_scores()
+    assert report["coordinates"] == [float(v) for v in scores[report["index"]]]
+    analysis = engine.last_analysis
+    assert analysis["kaiser_components"] == cold.kaiser_components
+    assert analysis["cumulative_variance"] == cold.cumulative_variance()
+
+
+class TestExactAppends:
+    @pytest.mark.parametrize("case", range(4))
+    def test_appends_across_process_boundaries_equal_a_cold_fit(
+        self, tmp_path, case
+    ):
+        """Seeded append sequences, reopening store and engine per append.
+
+        Large enough stores that one append barely moves the spectrum:
+        an approximate eigen-update would be accepted there, and would
+        miss bit-equality.
+        """
+        rng = np.random.default_rng(stable_seed("exact_appends", case))
+        d = int(rng.integers(8, 24))
+        n0 = int(rng.integers(120, 240))
+        appends = int(rng.integers(4, 9))
+        centers = rng.normal(size=(5, d)) * 3.0 * 0.7 ** np.arange(5)[:, None]
+        rows = np.stack(
+            [centers[i % 5] + rng.normal(size=d) * 0.5
+             for i in range(n0 + appends)]
+        )
+        features = tuple(f"f{j}" for j in range(d))
+        store = FeatureMatrixStore.create(tmp_path / "s", features)
+        for i, row in enumerate(rows[:n0]):
+            store.append_workload(f"w{i:04d}", row)
+        AnalysisEngine(store, clusters=5, seed=2017).refresh()
+        for i, row in enumerate(rows[n0:], start=n0):
+            store = FeatureMatrixStore.open(tmp_path / "s")
+            engine = AnalysisEngine(store, clusters=5, seed=2017)
+            report = engine.append(f"w{i:04d}", row)
+            _assert_exact(store, engine, report)
+
+    def test_old_engine_state_cold_starts_and_stays_exact(self, tmp_path):
+        """State in the retired rank-one layout is never folded."""
+        obs.enable()
+        store, matrix = _filled_store(tmp_path, n=12)
+        directory = store.directory / "engine"
+        directory.mkdir()
+        # The ``repro.analysis_engine/1`` layout: a tolerance in the
+        # identity, drift bookkeeping in the state, and the Gram /
+        # moment / eigensystem arrays — here from a stale matrix.
+        stale = matrix[:6]
+        d = len(FEATURES)
+        arrays_path = directory / "arrays.npz"
+        with arrays_path.open("wb") as handle:
+            np.savez(
+                handle,
+                mean=stale.mean(axis=0),
+                m2=((stale - stale.mean(axis=0)) ** 2).sum(axis=0),
+                gram=stale.T @ stale,
+                corr=np.eye(d),
+                eigenvalues=np.ones(d),
+                vectors=np.eye(d),
+                centroids=stale[:3],
+                assignment=np.array([0, 1, 2, 0, 1, 2]),
+            )
+        document = {
+            "schema": "repro.analysis_engine/1",
+            "identity": {
+                "store_schema": store.schema_checksum(),
+                "features": d,
+                "clusters": 3,
+                "seed": 2017,
+                "tolerance": 1e-4,
+            },
+            "rows_folded": 6,
+            "drift": 0.0,
+            "refactorizations": 1,
+            "inertia": 1.0,
+            "representatives": {"0": "w000", "1": "w001", "2": "w002"},
+            "analysis": None,
+            "arrays_sha256": hashlib.sha256(
+                arrays_path.read_bytes()
+            ).hexdigest(),
+        }
+        canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        document["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
+        (directory / "state.json").write_text(json.dumps(document))
+
+        obs.metrics.reset()
         engine = AnalysisEngine(store, clusters=3, seed=2017)
-        engine.refresh()
-        new_row = _matrix(1, "force")[0]
-        engine.append("fresh", new_row)
-        engine.force_refactorization()
-        assert engine.pca.drift == 0.0
-        batch = fit_pca(store.values(), FEATURES)
-        exact = engine.pca.result(store.values())
-        assert (exact.eigenvalues == batch.eigenvalues).all()
-        assert (exact.loadings == batch.loadings).all()
-        assert (exact.scores == batch.scores).all()
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["analysis.state_resets"] == 1.0
+        assert engine.rows_folded == 0
+        assert not engine.kmeans.fitted
+        assert engine.last_analysis is None
+
+        report = engine.append("fresh", _matrix(1, "old-state")[0])
+        _assert_exact(store, engine, report)
+        cold = AnalysisEngine(
+            store, clusters=3, seed=2017, directory=tmp_path / "cold"
+        ).refresh()
+        assert engine.last_analysis == cold
