@@ -624,9 +624,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_subset(args: argparse.Namespace) -> int:
     from repro.core.subsetting import subset_suite
+    from repro.perf.profiler import Profiler
 
     suite = SUITE_ALIASES[args.suite]
-    result = subset_suite(suite, k=args.k)
+    # One profiler serves the subset and its validation, so every pair
+    # is profiled once.
+    profiler = Profiler()
+    result = subset_suite(suite, k=args.k, profiler=profiler)
     print(f"{suite.value}: {args.k}-benchmark subset")
     for representative, cluster in zip(result.subset, result.clusters):
         print(f"  {representative:20s} <- {', '.join(cluster)}")
@@ -635,7 +639,9 @@ def _cmd_subset(args: argparse.Namespace) -> int:
         from repro.core.validation import validate_subset
 
         weights = [len(c) for c in result.clusters]
-        validation = validate_subset(suite, result.subset, weights=weights)
+        validation = validate_subset(
+            suite, result.subset, weights=weights, profiler=profiler
+        )
         print(f"validation: mean error {validation.mean_error:.1%}, "
               f"max {validation.max_error:.1%} over "
               f"{len(validation.systems)} systems")

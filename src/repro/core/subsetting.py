@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 from repro.core.similarity import SimilarityResult, analyze_similarity
 from repro.errors import AnalysisError
 from repro.obs.trace import span
+from repro.perf.profiler import Profiler
 from repro.stats.cluster import Linkage
 from repro.workloads.spec import Suite, get_workload, workloads_in_suite
 
@@ -98,12 +99,19 @@ def subset_suite(
     k: int = 3,
     linkage: Linkage = Linkage.AVERAGE,
     machines: Optional[Iterable[str]] = None,
+    profiler: Optional[Profiler] = None,
 ) -> SubsetResult:
-    """Select a k-benchmark subset of one CPU2017 sub-suite (Table V)."""
+    """Select a k-benchmark subset of one CPU2017 sub-suite (Table V).
+
+    Pass ``profiler`` to share its cached profiles with the caller's
+    other analyses (e.g. :func:`repro.core.validation.validate_subset`).
+    """
     workloads = [spec.name for spec in workloads_in_suite(suite)]
     if not workloads:
         raise AnalysisError(f"suite {suite} has no registered workloads")
-    similarity = analyze_similarity(workloads, machines=machines, linkage=linkage)
+    similarity = analyze_similarity(
+        workloads, machines=machines, linkage=linkage, profiler=profiler
+    )
     return select_subset(similarity, k)
 
 

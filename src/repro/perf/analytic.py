@@ -73,27 +73,45 @@ def _monotone(*ratios: float) -> tuple:
 
 
 @instrument("engine.analytic")
-def profile_analytic(spec: WorkloadSpec, machine: MachineConfig) -> CounterReport:
-    """Profile one workload on one machine in closed form."""
+def profile_analytic(
+    spec: WorkloadSpec,
+    machine: MachineConfig,
+    memo: Optional[Dict[tuple, float]] = None,
+) -> CounterReport:
+    """Profile one workload on one machine in closed form.
+
+    ``memo`` is the caller's reuse-component quadrature memo (see
+    :meth:`~repro.workloads.profiles.ReuseProfile.miss_ratio`); ``None``
+    recomputes every quadrature.  The result is the same either way.
+    """
     obs_metrics.incr("analytic.profiles")
     factor = machine.isa_path_factor
     rates = _event_rates(spec, machine.l1d.line_bytes)
+    # Memo traffic is tallied locally and published once per call.
+    lookups = 0
+    memo_size = len(memo) if memo is not None else 0
+
+    def miss_ratio(profile, capacity_blocks: float, associativity: int) -> float:
+        nonlocal lookups
+        if capacity_blocks > 0.0:
+            lookups += len(profile.components)
+        return profile.miss_ratio(capacity_blocks, associativity, memo)
 
     # ---- caches (global miss ratios, line granularity) -------------------
     data = spec.data_reuse
     inst = spec.inst_reuse
-    l1d_ratio = data.miss_ratio(machine.l1d.num_lines, machine.l1d.associativity)
-    l2d_ratio = data.miss_ratio(machine.l2.num_lines, machine.l2.associativity)
+    l1d_ratio = miss_ratio(data, machine.l1d.num_lines, machine.l1d.associativity)
+    l2d_ratio = miss_ratio(data, machine.l2.num_lines, machine.l2.associativity)
     if machine.l3 is not None:
-        l3d_ratio = data.miss_ratio(machine.l3.num_lines, machine.l3.associativity)
+        l3d_ratio = miss_ratio(data, machine.l3.num_lines, machine.l3.associativity)
     else:
         l3d_ratio = l2d_ratio
     l1d_ratio, l2d_ratio, l3d_ratio = _monotone(l1d_ratio, l2d_ratio, l3d_ratio)
 
-    l1i_ratio = inst.miss_ratio(machine.l1i.num_lines, machine.l1i.associativity)
-    l2i_ratio = inst.miss_ratio(machine.l2.num_lines, machine.l2.associativity)
+    l1i_ratio = miss_ratio(inst, machine.l1i.num_lines, machine.l1i.associativity)
+    l2i_ratio = miss_ratio(inst, machine.l2.num_lines, machine.l2.associativity)
     if machine.l3 is not None:
-        l3i_ratio = inst.miss_ratio(machine.l3.num_lines, machine.l3.associativity)
+        l3i_ratio = miss_ratio(inst, machine.l3.num_lines, machine.l3.associativity)
     else:
         l3i_ratio = l2i_ratio
     l1i_ratio, l2i_ratio, l3i_ratio = _monotone(l1i_ratio, l2i_ratio, l3i_ratio)
@@ -114,21 +132,26 @@ def profile_analytic(spec: WorkloadSpec, machine: MachineConfig) -> CounterRepor
     dpages = data.scaled(1.0 / dpage_factor)
     ipages = inst.scaled(1.0 / ipage_factor)
 
-    dtlb_ratio = dpages.miss_ratio(machine.dtlb.entries, machine.dtlb.associativity)
-    itlb_ratio = ipages.miss_ratio(machine.itlb.entries, machine.itlb.associativity)
+    dtlb_ratio = miss_ratio(dpages, machine.dtlb.entries, machine.dtlb.associativity)
+    itlb_ratio = miss_ratio(ipages, machine.itlb.entries, machine.itlb.associativity)
     dtlb_misses = dtlb_ratio * rates.mem_refs          # per x86 KI
     itlb_misses = itlb_ratio * rates.ifetch_lines
 
     if machine.l2tlb is not None:
         l2tlb = machine.l2tlb
-        dwalk_ratio = dpages.miss_ratio(l2tlb.entries, l2tlb.associativity)
-        iwalk_ratio = ipages.miss_ratio(l2tlb.entries, l2tlb.associativity)
+        dwalk_ratio = miss_ratio(dpages, l2tlb.entries, l2tlb.associativity)
+        iwalk_ratio = miss_ratio(ipages, l2tlb.entries, l2tlb.associativity)
         dwalks = min(dtlb_misses, dwalk_ratio * rates.mem_refs)
         iwalks = min(itlb_misses, iwalk_ratio * rates.ifetch_lines)
         last_tlb_misses = dwalks + iwalks
     else:
         dwalks, iwalks = dtlb_misses, itlb_misses
         last_tlb_misses = dtlb_misses + itlb_misses
+
+    if memo is not None:
+        computed = len(memo) - memo_size
+        obs_metrics.incr("analytic.memo.hit", lookups - computed)
+        obs_metrics.incr("analytic.memo.miss", computed)
 
     # ---- branches ----------------------------------------------------------
     predictor = machine.predictor

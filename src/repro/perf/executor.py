@@ -301,6 +301,9 @@ def _profile_chunk(
                                 pair=_pair_label(spec, config),
                             )
         else:
+            # One quadrature memo per chunk: it never outlives the chunk,
+            # so no worker carries state from one sweep into the next.
+            memo: Dict[tuple, float] = {}
             for spec, config in pairs:
                 try:
                     report = compute_report(
@@ -310,6 +313,7 @@ def _profile_chunk(
                         trace_instructions=trace_instructions,
                         seed=seed,
                         trace_kernel=trace_kernel,
+                        memo=memo,
                     )
                 except KeyboardInterrupt:
                     raise
@@ -549,6 +553,7 @@ class ProfilingExecutor:
                 trace_instructions=self.profiler.trace_instructions,
                 seed=self.profiler.seed,
                 trace_kernel=self.profiler.trace_kernel,
+                memo=self.profiler.quadrature_memo,
             )
         except KeyboardInterrupt:
             raise

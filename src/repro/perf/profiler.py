@@ -7,10 +7,23 @@ process) and, optionally, a content-addressed on-disk cache
 (:mod:`repro.perf.diskcache`) that survives process restarts, so warm
 re-runs of a sweep load results instead of recomputing them.
 
+Below the pair level, each Profiler also owns the analytic engine's
+quadrature memo: a plain dict of reuse-component hit probabilities
+keyed by ``(median, sigma, capacity_blocks, associativity)``.  Most of
+a sweep's quadratures repeat (the same component meets the same cache
+geometry on many machines and in many derived specs), and a memoised
+value is bit-identical to a recomputed one.  The memo lives and dies
+with its Profiler and is emptied by :meth:`Profiler.clear_cache`; a
+pool worker keeps one per chunk and a registry load one for all its
+calibration fits.  Nothing is process-global, so a fresh Profiler
+starts cold.
+
 Observability: every computed profile runs under a ``profile`` span
 (workload/machine/engine attributes); lookups feed the
 ``profiler.cache.{hit,miss}`` (in-memory) and
-``profiler.diskcache.{hit,miss,write}`` (on-disk) counters.  In-memory
+``profiler.diskcache.{hit,miss,write}`` (on-disk) counters, and each
+analytic profile adds its quadrature-memo traffic to
+``analytic.memo.{hit,miss}`` once per call.  In-memory
 and disk hits are tracked separately — :meth:`Profiler.cache_info`
 reports both, consistently even when read mid-sweep from another
 thread.
@@ -91,6 +104,7 @@ def compute_report(
     trace_instructions: int = 200_000,
     seed: int = 2017,
     trace_kernel: Optional[str] = None,
+    memo: Optional[Dict[tuple, float]] = None,
 ) -> CounterReport:
     """Run one engine on one (workload, machine) pair, uncached.
 
@@ -99,6 +113,9 @@ def compute_report(
     ``trace_kernel`` selects the trace engine's implementation
     (``"vector"`` fused replay or the ``"scalar"`` oracle; ``None``
     means the session default) and is ignored by the analytic engine.
+    ``memo`` is the analytic engine's reuse-component quadrature memo
+    (``None`` recomputes every quadrature) and is ignored by the trace
+    engine.
     """
     with span(
         "profile",
@@ -109,7 +126,7 @@ def compute_report(
         if engine == "analytic":
             from repro.perf.analytic import profile_analytic
 
-            return profile_analytic(spec, config)
+            return profile_analytic(spec, config, memo)
         from repro.perf.trace_engine import profile_trace
 
         return profile_trace(
@@ -226,6 +243,8 @@ class Profiler:
             DiskCache(cache_dir) if cache_dir is not None else None
         )
         self._cache: Dict[Tuple[str, str, str, str], CounterReport] = {}
+        # Per-instance, so a fresh Profiler starts cold (module docstring).
+        self.quadrature_memo: Dict[tuple, float] = {}
         # One lock makes lookups, stat updates and cache_info() mutually
         # consistent when caller threads and a reader race mid-sweep.
         self._lock = threading.Lock()
@@ -317,6 +336,7 @@ class Profiler:
             trace_instructions=self.trace_instructions,
             seed=self.seed,
             trace_kernel=self.trace_kernel,
+            memo=self.quadrature_memo,
         )
         self.adopt(spec, config, report)
         if obs_live.hub_active():
@@ -367,13 +387,15 @@ class Profiler:
             )
 
     def clear_cache(self) -> None:
-        """Drop all memoized reports and zero the statistics (test hook).
+        """Drop all memoized reports and quadratures and zero the
+        statistics (test hook).
 
         The on-disk cache is left intact; use ``disk_cache.clear()`` to
         wipe persisted entries.
         """
         with self._lock:
             self._cache.clear()
+            self.quadrature_memo.clear()
             self._hits.reset()
             self._disk_hits.reset()
             self._misses.reset()

@@ -26,7 +26,7 @@ reports the residual error so the fidelity tests can track it.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.workloads.spec import WorkloadSpec
 
@@ -43,21 +43,29 @@ MIN_ILP, MAX_ILP = 0.5, 6.0
 MAX_MLP = 32.0
 
 
-def _stall_cpi(spec: WorkloadSpec, mlp: float) -> float:
+def _stall_cpi(
+    spec: WorkloadSpec, mlp: float, memo: Optional[Dict[tuple, float]]
+) -> float:
     """CPI stall components on the reference machine for a given MLP."""
     from repro.perf.analytic import profile_analytic
     from repro.uarch.machine import get_machine
 
     machine = get_machine(REFERENCE_MACHINE)
     probe = replace(spec, ilp=machine.width, mlp=mlp)
-    stack = profile_analytic(probe, machine).cpi_stack
+    stack = profile_analytic(probe, machine, memo).cpi_stack
     return stack.total - stack.base - stack.dependency
 
 
-def calibrate_spec(spec: WorkloadSpec) -> WorkloadSpec:
+def calibrate_spec(
+    spec: WorkloadSpec, memo: Optional[Dict[tuple, float]] = None
+) -> WorkloadSpec:
     """Fit ``ilp``/``mlp`` to the spec's published reference CPI.
 
     Returns the spec unchanged when it has no ``reference_cpi``.
+    ``memo`` is an analytic quadrature memo shared across fits (see
+    :func:`repro.perf.analytic.profile_analytic`); the MLP search never
+    changes a miss ratio, so every probe after the first is served from
+    it.
     """
     if spec.reference_cpi is None:
         return spec
@@ -71,12 +79,12 @@ def calibrate_spec(spec: WorkloadSpec) -> WorkloadSpec:
     with span("calibration.fit", workload=spec.name):
         obs_metrics.incr("calibration.fits")
         mlp = spec.mlp
-        stalls = _stall_cpi(spec, mlp)
+        stalls = _stall_cpi(spec, mlp, memo)
         # Grow MLP until the issue-base budget is feasible (or MLP caps
         # out).
         while target - stalls < 1.0 / width and mlp < MAX_MLP:
             mlp = min(MAX_MLP, mlp * 1.25)
-            stalls = _stall_cpi(spec, mlp)
+            stalls = _stall_cpi(spec, mlp, memo)
 
     budget = max(target - stalls, 1.0 / width)
     ilp = min(MAX_ILP, max(MIN_ILP, 1.0 / budget))

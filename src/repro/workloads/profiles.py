@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -181,7 +181,12 @@ class ReuseProfile:
 
     # -- cache behaviour -------------------------------------------------------
 
-    def miss_ratio(self, capacity_blocks: float, associativity: int = 0) -> float:
+    def miss_ratio(
+        self,
+        capacity_blocks: float,
+        associativity: int = 0,
+        memo: Optional[Dict[tuple, float]] = None,
+    ) -> float:
         """Probability that a reference misses in an LRU cache.
 
         Parameters
@@ -197,15 +202,30 @@ class ReuseProfile:
             a reference with reuse distance ``d`` hits iff fewer than
             ``assoc`` of the ``d`` intervening distinct blocks landed in
             its set, i.e. ``P(hit | d) = P(Binomial(d, 1/S) < assoc)``.
+        memo:
+            Optional dict memoising each component's hit probability by
+            ``(median, sigma, capacity_blocks, associativity)``; the
+            quadrature is deterministic, so a memoised value is the
+            recomputed one bit for bit.  The caller owns its scope.
         """
         if capacity_blocks <= 0.0:
             return 1.0
         warm_hit = 0.0
         weights = self.normalized_weights
         for weight, component in zip(weights, self.components):
-            warm_hit += weight * _component_hit_probability(
-                component, capacity_blocks, associativity
-            )
+            if memo is None:
+                hit = _component_hit_probability(
+                    component, capacity_blocks, associativity
+                )
+            else:
+                key = (component.median, component.sigma, capacity_blocks,
+                       associativity)
+                hit = memo.get(key)
+                if hit is None:
+                    hit = memo[key] = _component_hit_probability(
+                        component, capacity_blocks, associativity
+                    )
+            warm_hit += weight * hit
         return float(min(1.0, max(0.0, 1.0 - warm_hit)))
 
     def hit_probability_at(

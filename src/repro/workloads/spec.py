@@ -324,9 +324,12 @@ def _ensure_loaded() -> None:
     from repro.workloads import emerging, spec2000, spec2006, spec2017
     from repro.workloads.calibration import calibrate_spec
 
+    # One quadrature memo per registry load, shared by every fit and
+    # dropped with this frame.
+    memo: Dict[tuple, float] = {}
     for module in (spec2017, spec2006, spec2000, emerging):
         for spec in module.SPECS:
-            register_workload(calibrate_spec(spec))
+            register_workload(calibrate_spec(spec, memo))
     _LOADED = True
 
 
