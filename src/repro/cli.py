@@ -14,6 +14,7 @@ Exposes the paper's analyses as ``repro`` subcommands::
     repro sensitivity l1_dtlb
     repro dataset --suite rate-int --jobs 4 --engine trace
     repro export --suite rate-int --out matrix.csv
+    repro obs report                    # the latest recorded run
     repro obs history                   # the run-history ledger
     repro obs diff -2 -1
     repro obs check                     # regression sentinel (CI)
@@ -25,17 +26,18 @@ Exposes the paper's analyses as ``repro`` subcommands::
     repro campaign status camp/
     repro campaign fold camp/
 
-Every subcommand accepts ``--obs {off,summary,json}``,
-``--trace-out FILE`` (Chrome-trace export), ``--metrics-out FILE``
-(OpenMetrics text exposition) and ``--profile {off,cpu,mem,all}``
-(sampling resource profiler; never changes results); ``repro
-obs-report`` pretty-prints the manifest of the last observed run
-(``--json`` for scripting).  Every ``--obs`` or ``--profile`` run is
-appended to the run-history ledger, which ``repro obs history`` lists,
-``repro obs diff`` compares pairwise, ``repro obs check`` scores
-against a median+MAD baseline (exiting non-zero on a statistical
-regression), ``repro obs flame`` renders as a flamegraph and ``repro
-obs top`` summarizes as hottest-spans/frames tables.
+Every subcommand accepts ``--obs {off,summary}`` (span tree and
+metrics on stdout), ``--trace-out FILE`` (Chrome-trace export) and
+``--profile {off,cpu,mem,all}`` (sampling resource profiler; never
+changes results).  A run observed by any of these, or by
+``--serve-port``, is recorded exactly once in the run-history ledger
+under ``$REPRO_OBS_DIR``; that entry is the run's only record, and the
+``repro obs`` verbs are views of it: ``report [RUN]`` pretty-prints it
+(``--json`` for scripting), ``history`` lists the ledger, ``diff``
+compares two runs, ``check`` scores a run against a median+MAD
+baseline (exiting non-zero on a statistical regression), ``flame``
+renders its samples as a flamegraph, ``top`` summarizes it as
+hottest-spans/frames tables and ``serve`` exposes it over HTTP.
 
 The profiling subcommands (``profile``, ``dataset``, ``export``)
 additionally accept ``--jobs N`` (N > 1 runs N worker processes),
@@ -96,7 +98,7 @@ CAMPAIGN_WORKLOADS = (
     "502.gcc_r",
 )
 
-_OBS_MODES = ("off", "summary", "json")
+_OBS_MODES = ("off", "summary")
 
 # Mirrors repro.obs.profiling.PROFILE_MODES without importing the obs
 # stack at parser-build time.
@@ -104,26 +106,20 @@ _PROFILE_MODES = ("off", "cpu", "mem", "all")
 
 
 def _obs_options() -> argparse.ArgumentParser:
-    """Shared ``--obs`` / ``--trace-out`` options for every subcommand."""
+    """Shared ``--obs`` / ``--trace-out`` / ``--profile`` options."""
     common = argparse.ArgumentParser(add_help=False)
     group = common.add_argument_group("observability")
     group.add_argument(
         "--obs",
         choices=_OBS_MODES,
         default="off",
-        help="instrumentation output: off (default), summary, or json",
+        help="instrumentation output: off (default) or summary",
     )
     group.add_argument(
         "--trace-out",
         metavar="FILE",
         default=None,
         help="write a chrome://tracing / Perfetto trace file",
-    )
-    group.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        default=None,
-        help="write the metrics snapshot in OpenMetrics text format",
     )
     group.add_argument(
         "--profile",
@@ -138,34 +134,53 @@ def _obs_options() -> argparse.ArgumentParser:
     return common
 
 
+def _parse_number(text: str, kind: type):
+    """``kind(text)``, as an argparse usage error when it does not parse."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid {kind.__name__} value: {text!r}"
+        )
+
+
 def _positive_int(text: str) -> int:
     """argparse type: an integer >= 1 (rejected before any work)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    value = _parse_number(text, int)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    value = _parse_number(text, int)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     """argparse type: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    value = _parse_number(text, float)
     if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    """argparse type: a finite number >= 0."""
+    value = _parse_number(text, float)
+    if not (value >= 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {text}"
+        )
+    return value
+
+
 def _port(text: str) -> int:
     """argparse type: a TCP port in 0-65535 (0 picks a free port)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    value = _parse_number(text, int)
     if not 0 <= value <= 65535:
         raise argparse.ArgumentTypeError(f"must be 0-65535, got {value}")
     return value
@@ -224,7 +239,8 @@ def _exec_options() -> argparse.ArgumentParser:
             "serve live telemetry over HTTP while the command runs: "
             "GET /metrics (OpenMetrics), /status (progress/ETA/worker "
             "table), /events (SSE), /healthz; 0 picks a free port; "
-            "implies observability on (results are unchanged)"
+            "implies observability on, so the run is recorded in the "
+            "ledger (results are unchanged)"
         ),
     )
     return common
@@ -437,20 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
         "status", help="store inventory: rows, representatives"
     )
 
-    obs_report_parser = add_parser(
-        "obs-report", help="pretty-print the last observed run's manifest"
-    )
-    obs_report_parser.add_argument(
-        "--dir", default=None,
-        help="manifest directory (default: $REPRO_OBS_DIR or .repro-obs)",
-    )
-    obs_report_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the raw manifest JSON for scripting",
-    )
-
     obs_parser = sub.add_parser(
-        "obs", help="run-history ledger: history, diff, check, flame, top"
+        "obs",
+        help="views of the run-history ledger: report, history, diff, "
+             "check, flame, top, serve",
     )
     obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
 
@@ -465,6 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return verb
 
+    report_parser = add_obs_parser(
+        "report", help="pretty-print one recorded run"
+    )
+    report_parser.add_argument(
+        "run", nargs="?", default="latest",
+        help="run reference: id, id prefix, seq, -N offset, or latest",
+    )
+
     history_parser = add_obs_parser(
         "history", help="list the recorded runs, oldest first"
     )
@@ -473,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="show only the newest N runs",
     )
     history_parser.add_argument(
-        "--prune", type=int, default=None, metavar="KEEP",
+        "--prune", type=_non_negative_int, default=None, metavar="KEEP",
         help="evict all but the newest KEEP runs first",
     )
 
@@ -550,7 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="address to bind (default: 127.0.0.1)",
     )
     serve_parser.add_argument(
-        "--for-seconds", type=float, default=None, metavar="S",
+        "--for-seconds", type=_non_negative_float, default=None,
+        metavar="S",
         dest="for_seconds",
         help="serve for S seconds then exit (default: until Ctrl-C)",
     )
@@ -997,9 +1012,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs.manifest import load_last_manifest, render_manifest
+    from repro.obs import history as obs_history
+    from repro.obs.manifest import render_manifest
 
-    manifest = load_last_manifest(args.dir)
+    manifest = obs_history.load_run(args.run, args.dir)["manifest"]
     if args.json:
         print(json.dumps(manifest, indent=2, sort_keys=True))
     else:
@@ -1023,7 +1039,8 @@ def _cmd_obs_history(args: argparse.Namespace) -> int:
         print(json.dumps([info.to_dict() for info in runs], indent=2))
         return 0
     if not runs:
-        print("run history is empty; run a command with --obs first")
+        print("run history is empty; run a command with --obs summary, "
+              "--trace-out, --profile or --serve-port first")
         return 0
     for info in runs:
         print(f"{info.id}  {info.command:<12s} key={info.run_key}  "
@@ -1245,7 +1262,7 @@ def _cmd_obs_serve(args: argparse.Namespace) -> int:
             print(f"serving {source} at {server.url}")
             print("endpoints: /metrics /status /events /healthz")
         if args.for_seconds is not None:
-            time.sleep(max(args.for_seconds, 0.0))
+            time.sleep(args.for_seconds)
         else:
             print("press Ctrl-C to stop")
             while True:
@@ -1258,6 +1275,7 @@ def _cmd_obs_serve(args: argparse.Namespace) -> int:
 
 
 _OBS_VERBS = {
+    "report": _cmd_obs_report,
     "history": _cmd_obs_history,
     "diff": _cmd_obs_diff,
     "check": _cmd_obs_check,
@@ -1289,7 +1307,12 @@ def _record_span_histograms(roots) -> None:
 
 
 def _finish_obs(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    """Emit span trees, metrics, the manifest, ledger entry and files."""
+    """Print the summary, record the run in the ledger, write the trace.
+
+    Every observed run lands exactly once in the ledger; nothing else
+    persists the record.  The ``obs`` verbs take no observability flags,
+    so they never reach here and are never recorded.
+    """
     from repro import obs
 
     # End the profiling session before obs is disabled so its final
@@ -1300,16 +1323,13 @@ def _finish_obs(args: argparse.Namespace, argv: Sequence[str]) -> None:
     roots = obs.finished_roots()
     _record_span_histograms(roots)
     snapshot = obs.snapshot()
-    mode = getattr(args, "obs", "off")
-    if mode == "summary":
+    if args.obs == "summary":
         print("--- obs: span tree " + "-" * 41)
         print(obs.export.render_span_tree(roots))
         rendered = obs.export.render_metrics(snapshot)
         if rendered:
             print("--- obs: metrics " + "-" * 43)
             print(rendered)
-    elif mode == "json":
-        print(obs.export.spans_to_jsonl(roots, snapshot))
     manifest = obs.manifest.build_manifest(
         args.command,
         list(argv),
@@ -1320,24 +1340,17 @@ def _finish_obs(args: argparse.Namespace, argv: Sequence[str]) -> None:
         k=getattr(args, "k", None),
         profile=profile_data.to_dict() if profile_data else None,
     )
-    if mode != "off" or profile_data is not None:
-        path = obs.manifest.write_manifest(manifest)
-        print(f"--- obs: manifest written to {path}")
-        if args.command not in ("obs", "obs-report"):
-            info = obs.history.record_run(manifest)
-            print(f"--- obs: run recorded as {info.id}")
+    info = obs.history.record_run(manifest)
+    # Stderr, like the live-telemetry URL: a served run's stdout stays
+    # byte-comparable to an unserved one.
+    print(f"--- obs: run recorded as {info.id}", file=sys.stderr)
     if profile_data is not None:
         print(f"--- obs: profiled {profile_data.sample_count} samples "
               f"({profile_data.sampler} sampler), peak rss "
               f"{profile_data.peak_rss_bytes / 1e6:.1f} MB")
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
-        path = obs.export.write_chrome_trace(trace_out, roots, snapshot)
+    if args.trace_out:
+        path = obs.export.write_chrome_trace(args.trace_out, roots, snapshot)
         print(f"--- obs: chrome trace written to {path}")
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out:
-        path = obs.openmetrics.write_metrics(metrics_out, snapshot, manifest)
-        print(f"--- obs: openmetrics written to {path}")
 
 
 _COMMANDS = {
@@ -1356,7 +1369,6 @@ _COMMANDS = {
     "export": _cmd_export,
     "campaign": _cmd_campaign,
     "analyze": _cmd_analyze,
-    "obs-report": _cmd_obs_report,
     "obs": _cmd_obs,
 }
 
@@ -1364,8 +1376,9 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code.
 
-    With ``--obs off`` (the default) and no ``--trace-out``, the
-    observability layer is never enabled and output is identical to an
+    With ``--obs off`` (the default) and no ``--trace-out``,
+    ``--profile`` or ``--serve-port``, the observability layer is never
+    enabled, nothing is recorded and output is identical to an
     uninstrumented build.
     """
     parser = build_parser()
@@ -1375,7 +1388,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     traced = bool(
         getattr(args, "obs", "off") != "off"
         or getattr(args, "trace_out", None)
-        or getattr(args, "metrics_out", None)
         # --serve-port implies obs on, so gated executor/cache metrics
         # flow into /metrics scrapes; results are unchanged (PR 1's
         # observation-only guarantee).

@@ -9,16 +9,17 @@ validation, design-space exploration):
 * :mod:`repro.obs.metrics` — named counters / gauges / histograms with
   a deterministic snapshot API.
 * :mod:`repro.obs.progress` — bounded heartbeats for long sweeps.
-* :mod:`repro.obs.export` — console, JSON-lines and Chrome-trace
-  (``chrome://tracing`` / Perfetto) rendering.
+* :mod:`repro.obs.export` — console and Chrome-trace
+  (``chrome://tracing`` / Perfetto, ``--trace-out``) rendering.
 * :mod:`repro.obs.manifest` — per-run manifests attributing every
   reproduced figure/table to an exact invocation.
 * :mod:`repro.obs.history` — append-only, checksummed run ledger under
-  the obs dir so runs are longitudinal, not one-shot.
+  the obs dir: the one record of every observed run, so runs are
+  longitudinal, not one-shot (``repro obs report`` renders one).
 * :mod:`repro.obs.baseline` — median+MAD baselines over the ledger and
   ok/improved/regressed verdicts (``repro obs check``).
 * :mod:`repro.obs.openmetrics` — OpenMetrics/Prometheus text
-  exposition of the metrics snapshot (``--metrics-out``).
+  exposition of the metrics snapshot (the ``/metrics`` body).
 * :mod:`repro.obs.profiling` — sampling wall/CPU stack profiler and
   ``tracemalloc`` memory gauges (``--profile``), with flamegraph
   export (``repro obs flame``) and cross-process merge support.
@@ -27,7 +28,9 @@ validation, design-space exploration):
   is in flight (``--serve-port``).
 * :mod:`repro.obs.httpd` — stdlib HTTP server exposing ``/metrics``,
   ``/status``, ``/events`` (SSE) and ``/healthz`` (``--serve-port``,
-  ``repro obs serve``).
+  ``repro obs serve``).  Not imported with the package, so processes
+  that never serve skip ``http.server``; use
+  ``from repro.obs import httpd``.
 
 Everything is off by default and zero-cost when off: disabled call
 sites reduce to a single branch (see DESIGN.md, "Observability").
@@ -46,7 +49,6 @@ from repro.obs import (
     baseline,
     export,
     history,
-    httpd,
     live,
     manifest,
     metrics,
@@ -105,7 +107,6 @@ __all__ = [
     "export",
     "finished_roots",
     "history",
-    "httpd",
     "live",
     "openmetrics",
     "incr",

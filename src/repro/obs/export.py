@@ -1,29 +1,30 @@
 """Exporters for span trees and metric snapshots.
 
-Three formats, all dependency-free:
+Two formats, both dependency-free:
 
 * :func:`render_span_tree` / :func:`render_metrics` — human-readable
-  console text (the ``--obs summary`` output).
-* :func:`spans_to_jsonl` — one JSON object per root span tree plus one
-  for the metrics snapshot (the ``--obs json`` output), suitable for
-  ``jq`` and log shippers.
+  console text (the ``--obs summary`` output and the metrics block of
+  ``repro obs report``).
 * :func:`chrome_trace_document` / :func:`write_chrome_trace` — the
   Chrome Trace Event format (JSON ``traceEvents`` array of complete
-  ``"ph": "X"`` events), loadable in ``chrome://tracing`` and Perfetto.
+  ``"ph": "X"`` events carrying wall ``dur`` and CPU ``tdur``, plus the
+  metrics snapshot under ``otherData``), loadable in
+  ``chrome://tracing`` and Perfetto.  This is the machine-readable
+  span forest of a run (``--trace-out``).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
+from repro.obs.manifest import atomic_write_text
 from repro.obs.trace import Span
 
 __all__ = [
     "render_span_tree",
     "render_metrics",
-    "spans_to_jsonl",
     "spans_to_events",
     "chrome_trace_document",
     "write_chrome_trace",
@@ -105,7 +106,7 @@ def render_metrics(snapshot: dict) -> str:
     for name, stats in snapshot.get("histograms", {}).items():
         line = (
             f"{name:<36s} n={stats['count']} mean={stats['mean']:g} "
-            f"min={stats['min']} max={stats['max']}"
+            f"min={stats['min']:g} max={stats['max']:g}"
         )
         if stats.get("p50") is not None:
             line += (
@@ -116,23 +117,6 @@ def render_metrics(snapshot: dict) -> str:
     return "\n".join(lines)
 
 
-def spans_to_jsonl(
-    roots: Sequence[Span], metrics_snapshot: Optional[dict] = None
-) -> str:
-    """Root span trees (and optionally metrics) as JSON lines."""
-    lines = [
-        json.dumps({"type": "span", **root.to_dict()}, sort_keys=True)
-        for root in roots
-    ]
-    if metrics_snapshot is not None:
-        lines.append(
-            json.dumps(
-                {"type": "metrics", **metrics_snapshot}, sort_keys=True
-            )
-        )
-    return "\n".join(lines)
-
-
 def spans_to_events(
     roots: Sequence[Span], pid: Optional[int] = None
 ) -> List[dict]:
@@ -140,10 +124,12 @@ def spans_to_events(
 
     Timestamps are microseconds relative to the earliest span start, as
     the trace-event format expects monotonically comparable ``ts``
-    values rather than epoch times.  Each event carries the pid the
-    span was recorded in, so spans adopted from executor workers render
-    as separate tracks; ``pid`` forces a single override for all events
-    (legacy single-process behaviour).
+    values rather than epoch times; ``dur`` is the span's wall time and
+    ``tdur`` (the format's thread duration) its CPU time, both in
+    microseconds.  Each event carries the pid the span was recorded in,
+    so spans adopted from executor workers render as separate tracks;
+    ``pid`` forces a single override for all events (legacy
+    single-process behaviour).
     """
     roots = list(roots)
     if not roots:
@@ -159,6 +145,7 @@ def spans_to_events(
                     "ph": "X",
                     "ts": (span.wall_start - origin) * 1e6,
                     "dur": span.wall_time * 1e6,
+                    "tdur": span.cpu_time * 1e6,
                     "pid": pid if pid is not None else span.pid,
                     "tid": span.thread_id,
                     "args": {
@@ -213,9 +200,8 @@ def write_chrome_trace(
     roots: Sequence[Span],
     metrics_snapshot: Optional[dict] = None,
 ) -> Path:
-    """Write a ``chrome://tracing`` / Perfetto loadable trace file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Atomically write a ``chrome://tracing`` / Perfetto trace file."""
     document = chrome_trace_document(roots, metrics_snapshot)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True))
-    return path
+    return atomic_write_text(
+        path, json.dumps(document, indent=2, sort_keys=True)
+    )

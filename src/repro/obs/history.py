@@ -1,11 +1,12 @@
 """Append-only run-history ledger for observed runs.
 
-Every ``--obs`` run writes a manifest; this module makes those runs
-*longitudinal*: each manifest is appended to a ledger under
-``<obs dir>/history/`` as one content-checksummed JSON document plus an
-entry in a compact index, so baselines (:mod:`repro.obs.baseline`) and
-``repro obs {history,diff,check}`` can reason about the last N runs
-without re-parsing every manifest.
+The ledger is the one per-run artifact: every observed run (``--obs
+summary``, ``--trace-out``, ``--profile`` or ``--serve-port``) appends
+its manifest to ``<obs dir>/history/`` exactly once, as one
+content-checksummed JSON document plus an entry in a compact index.
+Runs are therefore *longitudinal*: baselines (:mod:`repro.obs.baseline`)
+and ``repro obs {report,history,diff,check,flame,top,serve}`` read the
+last N runs without re-parsing every manifest.
 
 Layout::
 
@@ -68,9 +69,9 @@ _RUN_SCHEMA = "repro.obs.history.run/1"
 _INDEX_SCHEMA = "repro.obs.history.index/1"
 
 #: CLI flags that configure observation itself; scrubbed from the run
-#: key so e.g. ``--trace-out /tmp/x.json`` or ``--profile all`` doesn't
-#: split the series.
-_OBS_FLAGS = ("--obs", "--trace-out", "--metrics-out", "--profile")
+#: key so e.g. ``--trace-out /tmp/x.json``, ``--profile all`` or
+#: ``--serve-port 0`` doesn't split the series.
+_OBS_FLAGS = ("--obs", "--trace-out", "--profile", "--serve-port")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,7 +243,10 @@ def resolve_run(
     from repro.errors import AnalysisError
 
     if not runs:
-        raise AnalysisError("run history is empty; run with --obs first")
+        raise AnalysisError(
+            "run history is empty; run a command with --obs summary, "
+            "--trace-out, --profile or --serve-port first"
+        )
     if reference in ("latest", "-1"):
         return runs[-1]
     try:

@@ -1,21 +1,23 @@
 """Run manifests: what ran, with what inputs, and where time went.
 
-Every observed top-level analysis emits one manifest — a JSON document
+Every observed top-level analysis builds one manifest — a JSON document
 recording the command, its arguments, the package version, per-stage
 elapsed time (derived from the root span's direct children) and the
 final metric snapshot — so any reproduced figure or table is
 attributable to an exact invocation.
 
-Manifests are written to ``$REPRO_OBS_DIR`` (default ``.repro-obs`` in
-the working directory) as ``last_manifest.json``; ``repro obs-report``
-pretty-prints the most recent one.  All content derives from the
-injectable obs clock, so manifests are deterministic under a fixed
-clock (tested in ``tests/test_obs.py``).
+The manifest is the run record: :func:`repro.obs.history.record_run`
+stores it once in the run-history ledger under ``$REPRO_OBS_DIR``
+(default ``.repro-obs`` in the working directory), and every other
+surface is a view of that ledger entry (``repro obs report`` renders it
+with :func:`render_manifest`, ``repro obs serve`` exposes its metrics
+at ``/metrics``).  All content derives from the injectable obs clock,
+so manifests are deterministic under a fixed clock (tested in
+``tests/test_obs.py``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from pathlib import Path
@@ -26,17 +28,11 @@ from repro.obs.trace import Span
 __all__ = [
     "build_manifest",
     "manifest_dir",
-    "write_manifest",
-    "load_last_manifest",
     "render_manifest",
     "atomic_write_text",
-    "LAST_MANIFEST_NAME",
 ]
 
 PathLike = Union[str, Path]
-
-#: File name of the most recent manifest inside the obs directory.
-LAST_MANIFEST_NAME = "last_manifest.json"
 
 
 def manifest_dir(directory: Optional[PathLike] = None) -> Path:
@@ -122,30 +118,10 @@ def atomic_write_text(path: PathLike, text: str) -> Path:
     return path
 
 
-def write_manifest(
-    manifest: dict, directory: Optional[PathLike] = None
-) -> Path:
-    """Atomically write the manifest as ``last_manifest.json``."""
-    path = manifest_dir(directory) / LAST_MANIFEST_NAME
-    return atomic_write_text(
-        path, json.dumps(manifest, indent=2, sort_keys=True)
-    )
-
-
-def load_last_manifest(directory: Optional[PathLike] = None) -> dict:
-    """Read the most recent manifest, or raise ``AnalysisError``."""
-    from repro.errors import AnalysisError
-
-    path = manifest_dir(directory) / LAST_MANIFEST_NAME
-    if not path.exists():
-        raise AnalysisError(
-            f"no manifest at {path}; run a command with --obs first"
-        )
-    return json.loads(path.read_text())
-
-
 def render_manifest(manifest: dict) -> str:
-    """Pretty console rendering for ``repro obs-report``."""
+    """Pretty console rendering for ``repro obs report``."""
+    from repro.obs.export import render_metrics
+
     lines = [
         f"command:  {manifest.get('command', '?')}",
         f"argv:     {' '.join(manifest.get('argv', []))}",
@@ -198,36 +174,8 @@ def render_manifest(manifest: dict) -> str:
                 f" wall {entry['wall_s'] * 1e3:9.2f} ms"
                 f"  cpu {entry['cpu_s'] * 1e3:9.2f} ms"
             )
-    metrics = manifest.get("metrics", {})
-    counters = metrics.get("counters", {})
-    if counters:
-        lines.append("counters:")
-        for name, value in counters.items():
-            lines.append(f"  {name:<34s} {value:12g}")
-    gauges = metrics.get("gauges", {})
-    if gauges:
-        lines.append("gauges:")
-        for name, value in gauges.items():
-            lines.append(f"  {name:<34s} {value:12g}")
-    histograms = metrics.get("histograms", {})
-    if histograms:
-        lines.append("histograms:")
-        for name, stats in histograms.items():
-            lines.append(
-                f"  {name:<34s} n={stats.get('count', 0):<6d}"
-                f" mean={_fmt(stats.get('mean'))}"
-                f" min={_fmt(stats.get('min'))}"
-                f" max={_fmt(stats.get('max'))}"
-            )
-            if stats.get("p50") is not None:
-                lines.append(
-                    f"  {'':<34s} p50={_fmt(stats.get('p50'))}"
-                    f" p95={_fmt(stats.get('p95'))}"
-                    f" p99={_fmt(stats.get('p99'))}"
-                )
+    metrics = render_metrics(manifest.get("metrics", {}))
+    if metrics:
+        lines.append("metrics:")
+        lines.extend("  " + line for line in metrics.splitlines())
     return "\n".join(lines)
-
-
-def _fmt(value: Optional[float]) -> str:
-    """Compact numeric formatting for manifest rendering (``-`` = absent)."""
-    return f"{value:.6g}" if value is not None else "-"

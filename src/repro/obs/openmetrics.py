@@ -3,7 +3,9 @@
 Renders a metrics snapshot (and optionally the manifest's stage
 timings) in the OpenMetrics text format, so any Prometheus-compatible
 scraper, pushgateway or ad-hoc ``promtool`` invocation can ingest a
-``repro`` run without custom glue::
+``repro`` run without custom glue.  It is the body of ``GET /metrics``:
+live under ``--serve-port``, and for a recorded ledger run under
+``repro obs serve``::
 
     text = render_openmetrics(obs.snapshot(), manifest)
     # repro_profiler_cache_miss_total 70
@@ -40,19 +42,13 @@ can never silently drift off-spec.
 from __future__ import annotations
 
 import re
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-from repro.obs.manifest import atomic_write_text
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "render_openmetrics",
-    "write_metrics",
     "parse_openmetrics",
     "sanitize_name",
 ]
-
-PathLike = Union[str, Path]
 
 #: Prefix for every exported metric family.
 PREFIX = "repro_"
@@ -217,13 +213,6 @@ def render_openmetrics(
         )
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-def write_metrics(
-    path: PathLike, snapshot: dict, manifest: Optional[dict] = None
-) -> Path:
-    """Atomically write the exposition-format text to ``path``."""
-    return atomic_write_text(path, render_openmetrics(snapshot, manifest))
 
 
 def _parse_value(token: str, line_number: int) -> float:

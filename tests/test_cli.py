@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -20,6 +21,33 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fly"])
+
+    def test_observability_surface(self):
+        parser = build_parser()
+        (commands,) = [
+            action.choices for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(commands) == {
+            "list", "profile", "subset", "dendrogram", "inputsets",
+            "rate-speed", "balance", "power", "casestudies", "sensitivity",
+            "report", "dataset", "export", "campaign", "analyze", "obs",
+        }
+        (group,) = [
+            group for group in commands["list"]._action_groups
+            if group.title == "observability"
+        ]
+        flags = {
+            action.option_strings[0]: action.choices
+            for action in group._group_actions
+        }
+        assert flags == {
+            "--obs": ("off", "summary"),
+            "--trace-out": None,
+            "--profile": ("off", "cpu", "mem", "all"),
+        }
+        args = parser.parse_args(["obs", "report"])
+        assert (args.run, args.dir, args.json) == ("latest", None, False)
 
 
 class TestJobsValidation:
@@ -65,6 +93,10 @@ class TestJobsValidation:
             (["obs", "top", "--dir", "{dir}"], "-n", "-2"),
             (["profile", "505.mcf_r"], "--serve-port", "-5"),
             (["obs", "serve", "--dir", "{dir}"], "--port", "70000"),
+            (["obs", "serve", "--dir", "{dir}"], "--for-seconds", "nan"),
+            (["obs", "serve", "--dir", "{dir}"], "--for-seconds", "inf"),
+            (["obs", "serve", "--dir", "{dir}"], "--for-seconds", "-1"),
+            (["obs", "history", "--dir", "{dir}"], "--prune", "-1"),
         ),
         ids=lambda param: (
             "-".join(param[:2]) if isinstance(param, list) else None
@@ -207,21 +239,6 @@ class TestExport:
 class TestDatasetObservability:
     """PR 2's ``dataset`` subcommand under the obs flags."""
 
-    def test_dataset_obs_json(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
-        assert main(["dataset", "--suite", "rate-int", "--obs", "json"]) == 0
-        out = capsys.readouterr().out
-        json_lines = [
-            line for line in out.splitlines() if line.startswith("{")
-        ]
-        parsed = [json.loads(line) for line in json_lines]
-        types = {p["type"] for p in parsed}
-        assert types == {"span", "metrics"}
-        root = next(p for p in parsed if p["type"] == "span")
-        assert root["name"] == "repro.dataset"
-        names = {c["name"] for c in root["children"]}
-        assert "dataset.build_matrix" in names
-
     def test_dataset_trace_out(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         trace_path = tmp_path / "dataset-trace.json"
@@ -244,22 +261,71 @@ class TestDatasetObservability:
         assert len(runs) == 1
         assert runs[0].command == "dataset"
 
-    def test_dataset_metrics_out(self, capsys, tmp_path, monkeypatch):
-        from repro.obs import openmetrics
+    def test_dataset_record_renders_openmetrics(self, capsys, tmp_path,
+                                                monkeypatch):
+        from repro.obs import history, openmetrics
 
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
-        metrics_path = tmp_path / "metrics.txt"
-        assert main(
-            ["dataset", "--suite", "rate-int",
-             "--metrics-out", str(metrics_path)]
-        ) == 0
-        families = openmetrics.parse_openmetrics(metrics_path.read_text())
+        assert main(["dataset", "--suite", "rate-int",
+                     "--obs", "summary"]) == 0
+        manifest = history.load_run("latest")["manifest"]
+        families = openmetrics.parse_openmetrics(
+            openmetrics.render_openmetrics(manifest["metrics"], manifest)
+        )
         assert "repro_profiler_cache_miss" in families
         assert any(f.startswith("repro_stage_wall") for f in families)
 
 
+class TestRunRecord:
+    """Every observed run lands exactly once in the ledger."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        (
+            ["--obs", "summary"],
+            ["--trace-out", "{dir}/trace.json"],
+            ["--profile", "cpu"],
+            ["--serve-port", "0"],
+        ),
+        ids=("obs-summary", "trace-out", "profile", "serve-port"),
+    )
+    def test_observed_run_records_exactly_once(self, capsys, tmp_path,
+                                               monkeypatch, flags):
+        from repro.obs import history
+
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+        argv = ["profile", "505.mcf_r"]
+        argv += [flag.format(dir=tmp_path) for flag in flags]
+        assert main(argv) == 0
+        runs = history.list_runs()
+        assert len(runs) == 1
+        assert runs[0].command == "profile"
+        assert history.load_run("latest")["manifest"]["argv"] == argv
+        assert "--- obs: run recorded as" in capsys.readouterr().err
+        # The ledger is the only per-run artifact in the obs dir.
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["history"] + (["trace.json"] if "--trace-out" in flags else [])
+        )
+
+    def test_unobserved_run_records_nothing(self, capsys, tmp_path,
+                                            monkeypatch):
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
+        assert main(["profile", "505.mcf_r"]) == 0
+        assert not (tmp_path / "obs").exists()
+
+    def test_obs_verbs_are_not_recorded(self, capsys, tmp_path,
+                                        monkeypatch):
+        from repro.obs import history
+
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+        assert main(["profile", "505.mcf_r", "--obs", "summary"]) == 0
+        for verb in (["report"], ["history"], ["top"], ["check"]):
+            assert main(["obs"] + verb) == 0
+        assert len(history.list_runs()) == 1
+
+
 class TestObsVerbs:
-    """``repro obs {history,diff,check}`` and ``obs-report --json``."""
+    """``repro obs {report,history,diff,check,flame,top}``."""
 
     def _observe(self, monkeypatch, tmp_path, times=1):
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
@@ -411,18 +477,44 @@ class TestObsVerbs:
         assert "self" in out
 
     def test_obs_report_json(self, capsys, tmp_path, monkeypatch):
-        self._observe(monkeypatch, tmp_path, times=1)
+        from repro.obs import history
+
+        self._observe(monkeypatch, tmp_path, times=2)
         capsys.readouterr()
-        assert main(["obs-report", "--json"]) == 0
+        assert main(["obs", "report", "--json"]) == 0
         manifest = json.loads(capsys.readouterr().out)
+        assert manifest == history.load_run("latest")["manifest"]
         assert manifest["command"] == "profile"
         assert "stages" in manifest and "metrics" in manifest
+        first = history.list_runs()[0].id
+        assert main(["obs", "report", "--json", first]) == 0
+        assert json.loads(capsys.readouterr().out) == \
+            history.load_run(first)["manifest"]
+
+    def test_obs_report_renders_the_record(self, capsys, tmp_path,
+                                           monkeypatch):
+        from repro.obs import export, history
+
+        self._observe(monkeypatch, tmp_path, times=1)
+        capsys.readouterr()
+        assert main(["obs", "report", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "command:  profile" in out
+        metrics = history.load_run("0")["manifest"]["metrics"]
+        for line in export.render_metrics(metrics).splitlines():
+            assert "  " + line in out
+
+    def test_obs_report_empty_ledger_is_an_error(self, capsys, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+        assert main(["obs", "report"]) == 1
+        assert "error" in capsys.readouterr().err
 
     def test_manifest_has_span_duration_percentiles(self, capsys, tmp_path,
                                                     monkeypatch):
         self._observe(monkeypatch, tmp_path, times=1)
         capsys.readouterr()
-        assert main(["obs-report", "--json"]) == 0
+        assert main(["obs", "report", "--json"]) == 0
         manifest = json.loads(capsys.readouterr().out)
         histograms = manifest["metrics"]["histograms"]
         # Instruments zeroed by a run-boundary reset stay registered, so
@@ -522,7 +614,7 @@ class TestServe:
         import json as json_module
         import threading
 
-        from repro.obs import openmetrics
+        from repro.obs import history, openmetrics
 
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         assert main(["profile", "505.mcf_r", "--obs", "summary"]) == 0
@@ -551,6 +643,11 @@ class TestServe:
                      "--for-seconds", "3"]) == 0
         scraper.join()
         assert "metrics" in scraped
+        # /metrics is a view of the recorded run, byte for byte.
+        manifest = history.load_run("latest")["manifest"]
+        assert scraped["metrics"] == openmetrics.render_openmetrics(
+            manifest["metrics"], manifest
+        )
         families = openmetrics.parse_openmetrics(scraped["metrics"])
         assert "repro_run_info" in families
         assert scraped["status"]["source"] == "ledger"

@@ -180,7 +180,7 @@ class TestRunKey:
     def test_scrub_removes_obs_flags(self):
         argv = [
             "profile", "505.mcf_r", "--obs", "summary",
-            "--trace-out", "t.json", "--metrics-out=m.txt",
+            "--trace-out", "t.json", "--serve-port=0",
         ]
         assert history.scrub_argv(argv) == ["profile", "505.mcf_r"]
 
@@ -188,7 +188,8 @@ class TestRunKey:
         base = history.run_key("profile", ["profile", "505.mcf_r"])
         observed = history.run_key(
             "profile",
-            ["profile", "505.mcf_r", "--obs", "json", "--trace-out", "x"],
+            ["profile", "505.mcf_r", "--serve-port", "0", "--trace-out",
+             "x"],
         )
         assert base == observed
 
@@ -200,7 +201,7 @@ class TestRunKey:
         first = history.record_run(make_manifest(), tmp_path)
         manifest = make_manifest()
         manifest["argv"] = [
-            "profile", "505.mcf_r", "--obs", "json", "--trace-out", "t",
+            "profile", "505.mcf_r", "--serve-port", "0", "--trace-out", "t",
         ]
         second = history.record_run(manifest, tmp_path)
         assert first.run_key == second.run_key

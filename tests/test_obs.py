@@ -325,12 +325,17 @@ class TestChromeTrace:
         assert len(events) == 2
         for event in events:
             assert set(event) == {
-                "name", "cat", "ph", "ts", "dur", "pid", "tid", "args"
+                "name", "cat", "ph", "ts", "dur", "tdur", "pid", "tid",
+                "args",
             }
             assert event["ph"] == "X"
             assert event["ts"] >= 0.0
             assert event["dur"] >= 0.0
             assert isinstance(event["args"], dict)
+        # The fixed clock's CPU time runs at half its wall time.
+        root = events[0]
+        assert root["name"] == "root"
+        assert root["tdur"] == pytest.approx(root["dur"] / 2)
 
     def test_file_is_loadable_json(self, tmp_path):
         path = obs_export.write_chrome_trace(
@@ -341,6 +346,39 @@ class TestChromeTrace:
         assert document["displayTimeUnit"] == "ms"
         names = {e["name"] for e in document["traceEvents"]}
         assert names == {"root", "child"}
+
+    def test_failed_write_keeps_the_previous_trace(self, tmp_path,
+                                                   monkeypatch):
+        import os
+
+        path = tmp_path / "trace.json"
+        obs_export.write_chrome_trace(path, self._roots())
+        previous = path.read_text()
+        real_fdopen = os.fdopen
+
+        class TornFile:
+            """Writes half of the text, then fails like a full disk."""
+
+            def __init__(self, handle, mode):
+                self._file = real_fdopen(handle, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._file.close()
+
+            def write(self, text):
+                self._file.write(text[: len(text) // 2])
+                self._file.flush()
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "fdopen", TornFile)
+        with pytest.raises(OSError):
+            obs_export.write_chrome_trace(path, [], obs.snapshot())
+        monkeypatch.undo()
+        assert path.read_text() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
 
     def test_empty_trace(self):
         assert obs_export.spans_to_events([]) == []
@@ -376,19 +414,6 @@ class TestRender:
         obs.observe("h", 4.0)
         rendered = obs_export.render_metrics(obs.snapshot())
         assert "c" in rendered and "g" in rendered and "n=1" in rendered
-
-    def test_jsonl_lines_parse(self):
-        obs.enable(clock=fixed_clock())
-        with obs.span("a"):
-            pass
-        with obs.span("b"):
-            pass
-        obs.incr("c")
-        lines = obs_export.spans_to_jsonl(
-            obs.finished_roots(), obs.snapshot()
-        ).splitlines()
-        parsed = [json.loads(line) for line in lines]
-        assert [p["type"] for p in parsed] == ["span", "span", "metrics"]
 
 
 class TestManifest:
@@ -431,20 +456,25 @@ class TestManifest:
         )
 
     def test_write_load_render_roundtrip(self, tmp_path):
+        from repro.obs import history
+
         manifest = self._run()
-        path = obs_manifest.write_manifest(manifest, tmp_path)
-        assert path.name == obs_manifest.LAST_MANIFEST_NAME
-        loaded = obs_manifest.load_last_manifest(tmp_path)
+        info = history.record_run(manifest, tmp_path)
+        loaded = history.load_run(info.id, tmp_path)["manifest"]
         assert loaded == manifest
         rendered = obs_manifest.render_manifest(loaded)
         assert "subset" in rendered
         assert "similarity.profile" in rendered
+        assert "profiler.cache.miss" in rendered
 
     def test_load_missing_manifest_raises(self, tmp_path):
         from repro.errors import AnalysisError
+        from repro.obs import history
 
-        with pytest.raises(AnalysisError):
-            obs_manifest.load_last_manifest(tmp_path / "nowhere")
+        info = history.record_run(self._run(), tmp_path)
+        (history.history_dir(tmp_path) / f"{info.id}.json").unlink()
+        with pytest.raises(AnalysisError, match="cannot read"):
+            history.load_run("latest", tmp_path)
 
     def test_env_var_controls_directory(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "envdir"))
@@ -517,7 +547,7 @@ class TestProfilerIntegration:
         assert "profiler.cache.miss" in out
         document = json.loads(trace_path.read_text())
         assert document["traceEvents"]
-        assert main(["obs-report", "--dir", str(tmp_path)]) == 0
+        assert main(["obs", "report", "--dir", str(tmp_path)]) == 0
         report = capsys.readouterr().out
         assert "command:  profile" in report
 

@@ -102,12 +102,6 @@ class TestRender:
         samples = families["repro_stage_wall_seconds"]["samples"]
         assert samples[0][1]["stage"] == 'tricky "stage"\\path'
 
-    def test_write_metrics_file(self, tmp_path):
-        path = openmetrics.write_metrics(
-            tmp_path / "metrics.txt", make_snapshot(), make_manifest()
-        )
-        openmetrics.parse_openmetrics(path.read_text())
-
 
 class TestRoundTrip:
     def test_full_roundtrip_values(self):
@@ -232,17 +226,24 @@ class TestUnits:
         assert resident["unit"] == "bytes"
         assert resident["samples"][0][2] == 4096.0
 
-    def test_spill_series_reach_metrics_out_file(self, tmp_path):
+    def test_spill_series_reach_recorded_metrics(self, tmp_path):
         # A gated trace-cache counter recorded while obs is enabled must
-        # land in the --metrics-out exposition exactly like the CLI path.
+        # land in the recorded run's exposition exactly like the CLI path.
+        from repro.obs import history
+        from repro.obs.manifest import build_manifest
+
         obs.enable()
         obs.incr("trace_cache.evict")
         obs.set_gauge("trace_cache.resident_bytes", 8192)
         obs.disable()
-        path = openmetrics.write_metrics(
-            tmp_path / "metrics.txt", obs.snapshot()
+        info = history.record_run(
+            build_manifest("dataset", [], [], obs.snapshot()),
+            tmp_path,
         )
-        families = openmetrics.parse_openmetrics(path.read_text())
+        manifest = history.load_run(info.id, tmp_path)["manifest"]
+        families = openmetrics.parse_openmetrics(
+            openmetrics.render_openmetrics(manifest["metrics"], manifest)
+        )
         assert "repro_trace_cache_evict" in families
         assert families["repro_trace_cache_resident_bytes"]["unit"] == "bytes"
 
