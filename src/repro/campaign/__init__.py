@@ -7,8 +7,8 @@ Three layers:
     variants around the Table IV anchors.
 
 :mod:`repro.campaign.runner`
-    The stage DAG (generate → shards → fold) with shard-level
-    checkpointing and byte-identical resume.
+    The driver (generate, then each shard in order, then fold) with
+    shard-level checkpointing and byte-identical resume.
 
 :mod:`repro.campaign.store`
     The columnar on-disk result matrix (one memory-mapped ``.npy`` per
@@ -24,9 +24,7 @@ from repro.campaign.generator import (
 from repro.campaign.runner import (
     CampaignConfig,
     CampaignRunner,
-    Stage,
     pair_digest,
-    resolve_stages,
 )
 from repro.campaign.store import CampaignStore, schema_checksum
 
@@ -34,11 +32,9 @@ __all__ = [
     "CampaignConfig",
     "CampaignRunner",
     "CampaignStore",
-    "Stage",
     "generate_machines",
     "machines_digest",
     "pair_digest",
-    "resolve_stages",
     "schema_checksum",
     "structure_key",
     "variant_name",

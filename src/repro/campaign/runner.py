@@ -3,11 +3,8 @@
 A *campaign* profiles a generated machine population
 (:mod:`repro.campaign.generator`) against a workload list and lands the
 counter matrix in the columnar store (:mod:`repro.campaign.store`).
-Execution is a declarative DAG of stages — ``generate`` → one
-``shard-NNNN`` per machine slice → ``fold`` — resolved by
-:func:`resolve_stages` (deterministic topological order, cycle
-detection), so the plan is inspectable before anything runs and new
-stage kinds slot in without touching the driver loop.
+:meth:`CampaignRunner.run` is a straight line: ``generate``, then one
+``shard-NNNN`` per machine slice in index order, then ``fold``.
 
 Sharding & resume
 -----------------
@@ -23,9 +20,7 @@ shard key still match, so a killed 1000-machine campaign restarts in
 seconds: surviving shards are never recomputed and the rows they wrote
 into the preallocated store are untouched, which is what makes the
 resumed store **byte-identical** (per-column checksums) to an
-uninterrupted run.  Completed shards are also appended to the
-run-history ledger (:mod:`repro.obs.history`) when ledger recording is
-on, so campaign progress is longitudinal like every other run.
+uninterrupted run.
 
 Scheduling for fused replay
 ---------------------------
@@ -60,8 +55,6 @@ from repro.campaign.generator import (
     structure_key,
 )
 from repro.campaign.store import CampaignStore, schema_checksum
-from repro.obs import history as obs_history
-from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs.manifest import atomic_write_text
 from repro.obs.progress import progress as obs_progress
@@ -80,8 +73,6 @@ from repro.workloads.spec import WorkloadSpec, get_workload
 __all__ = [
     "CampaignConfig",
     "CampaignRunner",
-    "Stage",
-    "resolve_stages",
     "pair_digest",
 ]
 
@@ -98,7 +89,7 @@ _INCREMENTAL_DIR = "incremental"
 class CampaignConfig:
     """Everything that determines a campaign's *results*.
 
-    Execution knobs (jobs, chunk size) live on the runner, not
+    Execution knobs (jobs, profile mode) live on the runner, not
     here: they change wall time, never bytes, so a campaign may be
     resumed under a different worker count and still verify.
     """
@@ -160,49 +151,6 @@ class CampaignConfig:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class Stage:
-    """One node of the campaign DAG."""
-
-    name: str
-    deps: Tuple[str, ...] = ()
-
-
-def resolve_stages(stages: Sequence[Stage]) -> List[Stage]:
-    """Deterministic topological order (declaration order breaks ties).
-
-    Kahn's algorithm over the declared list: among ready stages the
-    earliest-declared runs first, so the plan is stable run to run.
-    Unknown dependencies and cycles raise :class:`ConfigurationError`.
-    """
-    by_name = {stage.name: stage for stage in stages}
-    if len(by_name) != len(stages):
-        raise ConfigurationError("duplicate stage names in campaign DAG")
-    for stage in stages:
-        for dep in stage.deps:
-            if dep not in by_name:
-                raise ConfigurationError(
-                    f"stage {stage.name!r} depends on unknown {dep!r}"
-                )
-    done: set = set()
-    ordered: List[Stage] = []
-    remaining = list(stages)
-    while remaining:
-        ready = [
-            stage
-            for stage in remaining
-            if all(dep in done for dep in stage.deps)
-        ]
-        if not ready:
-            names = ", ".join(stage.name for stage in remaining)
-            raise ConfigurationError(f"campaign DAG has a cycle among: {names}")
-        stage = ready[0]
-        remaining.remove(stage)
-        done.add(stage.name)
-        ordered.append(stage)
-    return ordered
-
-
 def pair_digest(report: CounterReport) -> str:
     """Content digest of one profile result (the bit-identity unit)."""
     encoded = json.dumps(
@@ -232,7 +180,7 @@ def _load_checksummed(path: Path, schema: str) -> Optional[dict]:
 
 
 class CampaignRunner:
-    """Drives one campaign directory through the stage DAG.
+    """Drives one campaign directory: generate, shards, fold.
 
     Parameters
     ----------
@@ -246,15 +194,11 @@ class CampaignRunner:
         Optional pre-built profiler (the CLI threads its cache flags
         through one); must agree with the config's engine parameters.
         Built from the config when omitted.
-    jobs / chunk_size / profile:
+    jobs / profile:
         Executor knobs, exactly as on
         :class:`~repro.perf.executor.ProfilingExecutor`.
     backend:
         Compatibility shim: only ``"process"`` is accepted.
-    ledger:
-        When true, every completed shard is appended to the run-history
-        ledger (``ledger_dir`` or the default obs dir) as a
-        ``campaign-shard`` run.
     """
 
     def __init__(
@@ -264,10 +208,7 @@ class CampaignRunner:
         profiler: Optional[Profiler] = None,
         jobs: int = 1,
         backend: str = "process",
-        chunk_size: Optional[int] = None,
         profile: str = "off",
-        ledger: bool = False,
-        ledger_dir: Optional[Union[str, Path]] = None,
     ) -> None:
         # ``backend`` survives only for e2ebench/workloads.py, which
         # passes backend="process"; the pool is always processes.
@@ -282,10 +223,7 @@ class CampaignRunner:
         self.config = config
         self._profiler = profiler
         self.jobs = jobs
-        self.chunk_size = chunk_size
         self.profile = profile
-        self.ledger = ledger
-        self.ledger_dir = ledger_dir
 
     # ------------------------------------------------------------------
     # configuration / layout
@@ -359,22 +297,12 @@ class CampaignRunner:
         return profiler
 
     # ------------------------------------------------------------------
-    # the DAG
+    # the driver
     # ------------------------------------------------------------------
 
-    def plan(self, config: Optional[CampaignConfig] = None) -> List[Stage]:
-        """The campaign DAG in execution order."""
-        config = config or self.config or self.load_config()
-        shard_names = [
-            f"shard-{index:04d}" for index in range(config.n_shards)
-        ]
-        stages = [Stage("generate")]
-        stages.extend(Stage(name, ("generate",)) for name in shard_names)
-        stages.append(Stage("fold", tuple(shard_names)))
-        return resolve_stages(stages)
-
     def run(self, resume: bool = False) -> dict:
-        """Execute every stage; returns the campaign summary."""
+        """Generate, run every shard in index order, fold; returns the
+        campaign summary."""
         config = self._resolve_config(resume)
         profiler = self._make_profiler(config)
         with span(
@@ -384,31 +312,19 @@ class CampaignRunner:
             shards=config.n_shards,
             resume=resume,
         ):
-            stages = self.plan(config)
             specs = [get_workload(name) for name in config.workloads]
-            machines: List[MachineConfig] = []
-            store: Optional[CampaignStore] = None
+            machines, store = self._run_generate(config, specs)
             completed = 0
-            skipped = 0
             ticker = obs_progress("campaign.shards", total=config.n_shards)
-            for stage in stages:
-                if stage.name == "generate":
-                    machines, store = self._run_generate(config, specs)
-                elif stage.name.startswith("shard-"):
-                    index = int(stage.name.split("-", 1)[1])
-                    assert store is not None
-                    ran = self._run_shard(
-                        config, profiler, specs, machines, store, index
-                    )
-                    completed += 1 if ran else 0
-                    skipped += 0 if ran else 1
-                    ticker.advance()
-                elif stage.name == "fold":
-                    analysis = self._run_fold(config)
-                else:  # pragma: no cover - plan() only emits the above
-                    raise ConfigurationError(f"unknown stage {stage.name!r}")
+            for index in range(config.n_shards):
+                if self._run_shard(
+                    config, profiler, specs, machines, store, index
+                ):
+                    completed += 1
+                ticker.advance()
             ticker.close()
-            assert store is not None
+            with span("campaign.fold"):
+                analysis = self.fold()
             checksums = store.seal()
         summary = {
             "directory": str(self.directory),
@@ -417,7 +333,7 @@ class CampaignRunner:
             "shards": {
                 "total": config.n_shards,
                 "computed": completed,
-                "skipped": skipped,
+                "skipped": config.n_shards - completed,
             },
             "rows": store.rows,
             "digest": self.campaign_digest(),
@@ -428,7 +344,7 @@ class CampaignRunner:
         return summary
 
     # ------------------------------------------------------------------
-    # stages
+    # steps
     # ------------------------------------------------------------------
 
     def _run_generate(
@@ -577,9 +493,7 @@ class CampaignRunner:
                     ]
                     digests[row] = pair_digest(report)
             store.write_rows(row_start, values)
-            self._checkpoint_shard(
-                config, index, key, slice_machines, digests, elapsed
-            )
+            self._checkpoint_shard(index, key, slice_machines, digests, elapsed)
             obs_metrics.incr("campaign.shards.completed")
             obs_metrics.incr("campaign.pairs.profiled", len(pairs))
         return True
@@ -589,25 +503,18 @@ class CampaignRunner:
     ) -> List[CounterReport]:
         """One executor sweep over a shard's pairs (crash-test seam)."""
         executor = ProfilingExecutor(
-            profiler,
-            jobs=self.jobs,
-            chunk_size=self.chunk_size,
-            profile=self.profile,
+            profiler, jobs=self.jobs, profile=self.profile
         )
         return executor.run(pairs, progress_label="campaign.pairs")
 
     def _checkpoint_shard(
         self,
-        config: CampaignConfig,
         index: int,
         key: str,
         slice_machines: Sequence[MachineConfig],
         digests: List[str],
         elapsed: float,
     ) -> None:
-        pairs_digest = hashlib.sha256(
-            "".join(digests).encode()
-        ).hexdigest()
         document = _checksummed(
             {
                 "schema": _SHARD_SCHEMA,
@@ -616,7 +523,9 @@ class CampaignRunner:
                 "rows": len(digests),
                 "key": key,
                 "pair_digests": digests,
-                "pairs_digest": pairs_digest,
+                "pairs_digest": hashlib.sha256(
+                    "".join(digests).encode()
+                ).hexdigest(),
                 "elapsed_s": elapsed,
             }
         )
@@ -624,28 +533,6 @@ class CampaignRunner:
             self._shard_path(index),
             json.dumps(document, indent=2, sort_keys=True) + "\n",
         )
-        if self.ledger:
-            snapshot = {
-                "counters": {
-                    "campaign.shard.pairs": float(len(digests)),
-                    "campaign.shard.seconds": elapsed,
-                }
-            }
-            manifest = obs_manifest.build_manifest(
-                "campaign-shard",
-                [self.directory.name, f"shard-{index:04d}"],
-                [],
-                snapshot,
-                shard_key=key[:16],
-                pairs_digest=pairs_digest,
-            )
-            obs_history.record_run(manifest, directory=self.ledger_dir)
-
-    def _run_fold(self, config: CampaignConfig) -> dict:
-        """Fold landed shards into the machine-space analysis."""
-        with span("campaign.fold"):
-            analysis = self.fold()
-        return analysis
 
     # ------------------------------------------------------------------
     # fold / status / digests

@@ -385,18 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--clusters", type=_positive_int, default=7, metavar="K",
         help="k for the fold stage's k-means (default: 7)",
     )
-    campaign_run_parser.add_argument(
-        "--ledger", action="store_true",
-        help="record each completed shard in the run-history ledger",
-    )
-
-    campaign_resume_parser = add_campaign_parser(
+    add_campaign_parser(
         "resume", parallel=True,
         help="continue an interrupted campaign, skipping completed shards",
-    )
-    campaign_resume_parser.add_argument(
-        "--ledger", action="store_true",
-        help="record each completed shard in the run-history ledger",
     )
 
     add_campaign_parser(
@@ -596,19 +587,32 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_profiler(args: argparse.Namespace, engine: str = "analytic"):
-    """A :class:`Profiler` configured from the shared execution flags."""
-    import os
+def _make_profiler(
+    args: argparse.Namespace,
+    engine: Optional[str] = None,
+    instructions: int = 200_000,
+    seed: int = 2017,
+):
+    """A :class:`Profiler` configured from the shared execution flags.
 
+    ``engine`` defaults to the ``--engine`` flag, else ``analytic``.
+    Campaigns pass their config's engine, instructions and seed (for
+    ``resume``, the recorded ones); the cache and kernel flags always
+    come from the command line.
+    """
     from repro.perf.profiler import Profiler
 
     if args.no_disk_cache:
         cache_dir = None
     else:
         cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or None
-    profiler = Profiler(engine=getattr(args, "engine", engine),
-                        cache_dir=cache_dir,
-                        trace_kernel=getattr(args, "trace_kernel", None))
+    profiler = Profiler(
+        engine=engine or getattr(args, "engine", "analytic"),
+        trace_instructions=instructions,
+        seed=seed,
+        cache_dir=cache_dir,
+        trace_kernel=getattr(args, "trace_kernel", None),
+    )
     if args.cache_clear and profiler.disk_cache is not None:
         removed = profiler.disk_cache.clear()
         print(f"cleared {removed} cached profiles from "
@@ -791,35 +795,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_profiler(args: argparse.Namespace, config):
-    """A :class:`Profiler` matching the campaign's engine parameters.
-
-    Unlike :func:`_make_profiler`, the engine/instructions/seed come
-    from the campaign config (for ``resume``, the recorded one) — only
-    the cache and kernel flags come from the command line.
-    """
-    import os
-
-    from repro.perf.profiler import Profiler
-
-    if args.no_disk_cache:
-        cache_dir = None
-    else:
-        cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or None
-    profiler = Profiler(
-        engine=config.engine,
-        trace_instructions=config.trace_instructions,
-        seed=config.seed,
-        cache_dir=cache_dir,
-        trace_kernel=getattr(args, "trace_kernel", None),
-    )
-    if args.cache_clear and profiler.disk_cache is not None:
-        removed = profiler.disk_cache.clear()
-        print(f"cleared {removed} cached profiles from "
-              f"{profiler.disk_cache.root}")
-    return profiler
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     import json
 
@@ -882,10 +857,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     runner = CampaignRunner(
         args.directory,
         config=config,
-        profiler=_campaign_profiler(args, config),
+        profiler=_make_profiler(
+            args, config.engine, config.trace_instructions, config.seed
+        ),
         jobs=args.jobs,
         profile=getattr(args, "profile", "off"),
-        ledger=args.ledger,
     )
     summary = runner.run(resume=resume)
     if args.json:

@@ -64,9 +64,6 @@ __all__ = [
 #: Seconds of worker silence before the stall gauge flips.
 DEFAULT_STALL_THRESHOLD_S = 5.0
 
-#: Environment override for the stall threshold.
-STALL_THRESHOLD_ENV = "REPRO_STALL_THRESHOLD"
-
 #: Ring-buffer capacity for recent events (SSE replay window).
 DEFAULT_MAX_EVENTS = 512
 
@@ -236,18 +233,10 @@ class LiveHub:
 
     def __init__(
         self,
-        stall_threshold_s: Optional[float] = None,
+        stall_threshold_s: float = DEFAULT_STALL_THRESHOLD_S,
         clock: Callable[[], float] = time.monotonic,
         max_events: int = DEFAULT_MAX_EVENTS,
     ) -> None:
-        if stall_threshold_s is None:
-            raw = os.environ.get(STALL_THRESHOLD_ENV, "")
-            try:
-                stall_threshold_s = float(raw)
-            except ValueError:
-                stall_threshold_s = DEFAULT_STALL_THRESHOLD_S
-            if stall_threshold_s <= 0:
-                stall_threshold_s = DEFAULT_STALL_THRESHOLD_S
         self.stall_threshold_s = float(stall_threshold_s)
         self._clock = clock
         self._lock = threading.RLock()
@@ -591,7 +580,7 @@ _LOCK = threading.Lock()
 
 
 def activate(
-    stall_threshold_s: Optional[float] = None,
+    stall_threshold_s: float = DEFAULT_STALL_THRESHOLD_S,
     clock: Callable[[], float] = time.monotonic,
     monitor: bool = True,
 ) -> LiveHub:

@@ -1,41 +1,50 @@
-"""Parallel profiling executor with deterministic batching.
+"""Profiling executor: one chunk function, two dispatchers.
 
 The paper's measurement sweep — 80 workloads x 7 machines x 2 engines —
 is embarrassingly parallel: every (workload, machine) pair is an
-independent, deterministic computation.  :class:`ProfilingExecutor`
-has two paths: ``jobs == 1`` computes in-process (the serial
-reference), and ``jobs > 1`` fans the pair list out over a
-``concurrent.futures`` process pool of ``jobs`` workers in fixed-size
-chunks — grouped by workload
-(:func:`workload_chunks`) so a pool worker synthesizes each shared
-trace at most once — and reassembles the results **by input index**.
-Chunk payloads are built lazily and at most ``jobs *
-_CHUNKS_PER_WORKER`` chunks are in flight at once, so a
-campaign-scale sweep (tens of thousands of pending pairs) holds a
-bounded window of payload tuples rather than all of them.  Results land
-by input index, so the output is identical to the serial sweep
-regardless of worker count, chunk size or completion order (see
-DESIGN.md, "Parallel execution & caching").  The engines are pure
-Python, so a thread pool would only contend for the GIL; there is no
-thread path.
+independent, deterministic computation.  :func:`_profile_chunk` is the
+only code that computes pending pairs: it splits its chunk into
+same-workload runs and hands each run to
+:func:`~repro.perf.profiler.compute_reports`, which alone decides
+between fused batch replay and per-pair profiling.
+:class:`ProfilingExecutor` only decides where chunks run:
+
+* ``jobs == 1`` calls :func:`_profile_chunk` in-process, one chunk per
+  workload's pending pairs, with the Profiler's own quadrature memo;
+* ``jobs > 1`` fans fixed-size chunks — grouped by workload
+  (:func:`workload_chunks`) so a pool worker synthesizes each shared
+  trace at most once — out over a ``concurrent.futures`` process pool
+  of ``jobs`` workers.  Chunk payloads are built lazily and at most
+  ``jobs * _CHUNKS_PER_WORKER`` chunks are in flight at once, so a
+  campaign-scale sweep (tens of thousands of pending pairs) holds a
+  bounded window of payload tuples rather than all of them.
+
+Both dispatchers collect results through the same code and land them
+**by input index**, so the output is identical regardless of worker
+count, chunk size or completion order (see DESIGN.md, "Parallel
+execution & caching").  The engines are pure Python, so a thread pool
+would only contend for the GIL; there is no thread path.
 
 Interplay with the caches: the main process probes the profiler's
 memory and disk caches first and only dispatches the remaining pairs;
-workers compute raw reports (no cache access), and every cache write
+chunks compute raw reports (no cache access), and every cache write
 happens in the main process through the disk cache's atomic-rename
 path.  A cancelled or crashed sweep therefore never leaves a partial
-cache entry behind.
+cache entry behind, and the chunks collected before a failure stay
+cached.
 
-Failure handling: a pair that raises inside a worker is reported as a
-:class:`~repro.errors.ExecutionError` naming the failing
-``workload@machine`` pair, with the worker traceback attached; the
-remaining chunks are cancelled.
+Failure handling: a run that raises inside a chunk is marshalled as one
+error per pair it carried and reported as an
+:class:`~repro.errors.ExecutionError` naming every failing
+``workload@machine`` pair, with the chunk's traceback attached; the
+remaining chunks are cancelled (pool) or never started (in-process).
 
-Observability: the sweep runs under an ``executor.sweep`` span whose
-:class:`~repro.obs.trace.TraceContext` is serialized into every chunk
-payload.  Pool workers record spans into a local buffer
-(``begin_remote_capture``) that is shipped back with the chunk results
-and merged under the sweep span in chunk-index order, so
+Observability: the sweep runs under an ``executor.sweep`` span with one
+``executor.chunk`` child per chunk.  In-process chunks record their
+spans directly; the sweep's :class:`~repro.obs.trace.TraceContext` is
+serialized into every pool payload, and pool workers record spans into
+a local buffer (``begin_remote_capture``) that is shipped back with the
+chunk results and merged under the sweep span in chunk-index order, so
 ``--trace-out`` shows per-worker swim-lanes.  The
 pool exports ``executor.pool.jobs`` / ``executor.pool.inflight`` /
 ``executor.pool.peak_inflight`` gauges (the peak is capped by the
@@ -69,12 +78,7 @@ from repro.obs.progress import progress as obs_progress
 from repro.obs.trace import Span, TraceContext, span
 from repro.perf.counters import CounterReport
 from repro.perf.diskcache import content_fingerprint
-from repro.perf.profiler import (
-    Profiler,
-    compute_report,
-    compute_reports,
-    pair_key,
-)
+from repro.perf.profiler import Profiler, compute_reports, pair_key
 from repro.uarch.machine import MachineConfig, get_machine
 from repro.workloads.spec import WorkloadSpec, get_workload
 
@@ -90,7 +94,7 @@ Pair = Tuple[WorkloadSpec, MachineConfig]
 # kernel) plus the chunk's pairs, tagged with the chunk index so
 # results can be reassembled deterministically, the sweep's trace
 # context (or None while tracing is off), the submitting process's pid
-# (lets a test that calls the worker function in-process leave the test
+# (a chunk computed in-process, at jobs=1 or from a test, leaves the
 # process's global observability state alone), the resource profile
 # mode, the live-telemetry queue proxy (or None while the hub is off),
 # and the submit-time wall clock for the queue-wait histogram.
@@ -98,6 +102,10 @@ _ChunkPayload = Tuple[
     int, str, int, int, str, List[Pair],
     Optional[TraceContext], int, str, Optional[object], Optional[float],
 ]
+
+# What a chunk returns: its index, one outcome per pair and the
+# observability sidecar (see _profile_chunk).
+_ChunkResult = Tuple[int, List[Tuple[str, object]], dict]
 
 
 def chunk_spans(n_tasks: int, jobs: int, chunk_size: Optional[int] = None) -> List[range]:
@@ -120,22 +128,35 @@ def chunk_spans(n_tasks: int, jobs: int, chunk_size: Optional[int] = None) -> Li
     ]
 
 
+def _workload_groups(pending: Sequence[Pair]) -> List[List[int]]:
+    """Indices into ``pending``, grouped by workload.
+
+    Groups come in stable first-appearance order and keep the input
+    order within a workload.
+    """
+    groups: Dict[Tuple[str, str], List[int]] = {}
+    for index, (spec, _config) in enumerate(pending):
+        groups.setdefault((spec.name, content_fingerprint(spec)), []).append(
+            index
+        )
+    return list(groups.values())
+
+
 def workload_chunks(
     pending: Sequence[Pair], jobs: int, chunk_size: Optional[int] = None
 ) -> List[List[int]]:
     """Chunk pending pairs with same-workload pairs kept adjacent.
 
     Returns index lists into ``pending``: indices are regrouped by
-    workload (stable first-appearance order; within a workload the
-    input order is kept) and then sliced into :func:`chunk_spans`-sized
-    chunks.  Same-workload pairs landing in the same chunk lets a pool
-    worker synthesize each shared trace once and replay it for every
-    machine in the chunk — without grouping, a machine-major design
-    sweep interleaves workloads so every process worker re-synthesizes
-    every trace.  The regrouping is a pure dispatch-order permutation:
-    results are reassembled by input index, so it can never change a
-    sweep's output, and it depends only on the pending list and
-    ``(jobs, chunk_size)`` — never on timing.
+    workload (:func:`_workload_groups`) and then sliced into
+    :func:`chunk_spans`-sized chunks.  Same-workload pairs landing in
+    the same chunk lets a pool worker synthesize each shared trace once
+    and replay it for every machine in the chunk — without grouping, a
+    machine-major design sweep interleaves workloads so every process
+    worker re-synthesizes every trace.  The regrouping is a pure
+    dispatch-order permutation: results are reassembled by input index,
+    so it can never change a sweep's output, and it depends only on the
+    pending list and ``(jobs, chunk_size)`` — never on timing.
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be >= 1")
@@ -145,15 +166,7 @@ def workload_chunks(
         )
     if chunk_size < 1:
         raise ConfigurationError("chunk_size must be >= 1")
-    groups: Dict[Tuple[str, str], List[int]] = {}
-    order: List[Tuple[str, str]] = []
-    for index, (spec, _config) in enumerate(pending):
-        key = (spec.name, content_fingerprint(spec))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(index)
-    ordered = [index for key in order for index in groups[key]]
+    ordered = [index for group in _workload_groups(pending) for index in group]
     return [
         ordered[start:start + chunk_size]
         for start in range(0, len(ordered), chunk_size)
@@ -164,27 +177,23 @@ def _pair_label(spec: WorkloadSpec, config: MachineConfig) -> str:
     return f"{spec.name}@{config.name}"
 
 
-def _fused_batching(engine: str, trace_kernel: str) -> bool:
-    """True when same-workload runs should go through the fused engine.
-
-    Fused replay is the trace engine's vector kernel; the analytic
-    engine and the scalar oracle keep the per-pair computation (and its
-    per-pair ``profile`` spans).
-    """
-    return engine == "trace" and trace_kernel == "vector"
-
-
 def _profile_chunk(
     payload: _ChunkPayload,
-) -> Tuple[int, List[Tuple[str, object]], dict]:
-    """Compute one chunk of pairs; runs inside a pool worker.
+    memo: Optional[Dict[tuple, float]] = None,
+) -> _ChunkResult:
+    """Compute one chunk of pairs, in a pool worker or in-process.
 
+    The chunk is split into contiguous same-workload runs and each run
+    goes to :func:`~repro.perf.profiler.compute_reports` in one call.
     Returns ``(chunk_index, outcomes, extras)`` where each outcome is
-    ``("ok", report)`` or ``("err", label, traceback_text)`` — errors
-    are marshalled as strings because not every exception survives
-    pickling back from a worker process.  ``extras`` carries the
-    worker's observability sidecar: queue-wait seconds, serialized
-    spans plus an optional resource profile, and the worker pid.
+    ``("ok", report)`` or ``("err", label, traceback_text)``; a failing
+    run yields one error per pair it carried.  Errors are marshalled as
+    strings because not every exception survives pickling back from a
+    worker process.  ``extras`` carries the worker's observability
+    sidecar: queue-wait seconds, serialized spans plus an optional
+    resource profile, and the worker pid.  ``memo`` is the analytic
+    quadrature memo; ``None`` gives the chunk its own, so no pool worker
+    carries state from one sweep into the next.
     """
     (
         chunk_index,
@@ -255,88 +264,45 @@ def _profile_chunk(
             pairs=len(pairs),
             rss_bytes=obs_live.current_rss_bytes(),
         )
+    if memo is None:
+        memo = {}
+    # workload_chunks keeps same-workload pairs adjacent, so contiguous
+    # runs hand whole machine batches to compute_reports.
+    runs: List[Tuple[WorkloadSpec, List[MachineConfig]]] = []
+    for spec, config in pairs:
+        if runs and runs[-1][0] == spec:
+            runs[-1][1].append(config)
+        else:
+            runs.append((spec, [config]))
     outcomes: List[Tuple[str, object]] = []
     with span("executor.chunk", chunk=chunk_index, pairs=len(pairs)):
-        if _fused_batching(engine, trace_kernel):
-            # workload_chunks keeps same-workload pairs adjacent, so
-            # contiguous runs hand whole machine batches to the fused
-            # engine; a failing batch is marshalled as one error per
-            # member pair so the collector can name every casualty.
-            runs: List[Tuple[WorkloadSpec, List[MachineConfig]]] = []
-            for spec, config in pairs:
-                if runs and runs[-1][0] == spec:
-                    runs[-1][1].append(config)
-                else:
-                    runs.append((spec, [config]))
-            for spec, configs in runs:
-                try:
-                    reports = compute_reports(
-                        spec,
-                        configs,
-                        engine,
-                        trace_instructions=trace_instructions,
-                        seed=seed,
-                        trace_kernel=trace_kernel,
+        for spec, configs in runs:
+            event = "pair.done"
+            try:
+                reports = compute_reports(
+                    spec,
+                    configs,
+                    engine,
+                    trace_instructions=trace_instructions,
+                    seed=seed,
+                    trace_kernel=trace_kernel,
+                    memo=memo,
+                )
+            except Exception:  # KeyboardInterrupt is not caught
+                event = "pair.error"
+                worker_trace = traceback.format_exc()
+                outcomes.extend(
+                    ("err", _pair_label(spec, config), worker_trace)
+                    for config in configs
+                )
+            else:
+                outcomes.extend(("ok", report) for report in reports)
+            if live:
+                for config in configs:
+                    obs_live.emit_worker_event(
+                        telemetry, event, chunk=chunk_index,
+                        pair=_pair_label(spec, config),
                     )
-                except KeyboardInterrupt:
-                    raise
-                except Exception:
-                    worker_trace = traceback.format_exc()
-                    outcomes.extend(
-                        ("err", _pair_label(spec, config), worker_trace)
-                        for config in configs
-                    )
-                    if live:
-                        for config in configs:
-                            obs_live.emit_worker_event(
-                                telemetry, "pair.error", chunk=chunk_index,
-                                pair=_pair_label(spec, config),
-                            )
-                else:
-                    outcomes.extend(("ok", report) for report in reports)
-                    if live:
-                        for config in configs:
-                            obs_live.emit_worker_event(
-                                telemetry, "pair.done", chunk=chunk_index,
-                                pair=_pair_label(spec, config),
-                            )
-        else:
-            # One quadrature memo per chunk: it never outlives the chunk,
-            # so no worker carries state from one sweep into the next.
-            memo: Dict[tuple, float] = {}
-            for spec, config in pairs:
-                try:
-                    report = compute_report(
-                        spec,
-                        config,
-                        engine,
-                        trace_instructions=trace_instructions,
-                        seed=seed,
-                        trace_kernel=trace_kernel,
-                        memo=memo,
-                    )
-                except KeyboardInterrupt:
-                    raise
-                except Exception:
-                    outcomes.append(
-                        (
-                            "err",
-                            _pair_label(spec, config),
-                            traceback.format_exc(),
-                        )
-                    )
-                    if live:
-                        obs_live.emit_worker_event(
-                            telemetry, "pair.error", chunk=chunk_index,
-                            pair=_pair_label(spec, config),
-                        )
-                else:
-                    outcomes.append(("ok", report))
-                    if live:
-                        obs_live.emit_worker_event(
-                            telemetry, "pair.done", chunk=chunk_index,
-                            pair=_pair_label(spec, config),
-                        )
     extras: dict = {
         "queue_wait_s": queue_wait,
         "spans": None,
@@ -375,11 +341,11 @@ class ProfilingExecutor:
         The cache-owning :class:`~repro.perf.profiler.Profiler`; its
         engine settings are shipped to the workers.
     jobs:
-        ``1`` (default) computes in-process, the serial reference path;
-        ``N > 1`` runs ``N`` worker processes.
+        ``1`` (default) computes each workload's pending pairs as one
+        in-process chunk; ``N > 1`` runs ``N`` worker processes.
     chunk_size:
-        Pairs per dispatched chunk; defaults to an even split of
-        roughly four chunks per worker.
+        Pairs per pool chunk; defaults to an even split of roughly four
+        chunks per worker.  Ignored at ``jobs == 1``.
     profile:
         Resource-profile mode (``off``/``cpu``/``mem``/``all``) shipped
         to pool workers; their per-chunk profiles are merged
@@ -459,7 +425,7 @@ class ProfilingExecutor:
         if pending:
             obs_metrics.set_gauge("executor.pool.jobs", self.jobs)
             if self.jobs == 1:
-                self._run_serial(pending, pending_positions, results, ticker)
+                self._run_inline(pending, pending_positions, results, ticker)
             else:
                 self._run_pool(
                     pending, pending_positions, results, ticker, sweep
@@ -468,101 +434,47 @@ class ProfilingExecutor:
         # Every slot is filled unless an exception propagated above.
         return results  # type: ignore[return-value]
 
-    def _adopt(
+    def _payload(
         self,
-        spec: WorkloadSpec,
-        config: MachineConfig,
-        report: CounterReport,
-        positions: Dict[Tuple[str, str, str, str], List[int]],
-        results: List[Optional[CounterReport]],
-    ) -> None:
-        self.profiler.adopt(spec, config, report)
-        for index in positions[pair_key(spec, config)]:
-            results[index] = report
-        obs_metrics.incr("executor.tasks.completed")
+        chunk_index: int,
+        pairs: List[Pair],
+        context: Optional[TraceContext],
+        telemetry: Optional[object],
+    ) -> _ChunkPayload:
+        return (
+            chunk_index,
+            self.profiler.engine,
+            self.profiler.trace_instructions,
+            self.profiler.seed,
+            self.profiler.trace_kernel,
+            pairs,
+            context,
+            os.getpid(),
+            self.profile,
+            telemetry,
+            None,
+        )
 
-    def _run_serial(
+    def _run_inline(
         self,
         pending: List[Pair],
         positions: Dict[Tuple[str, str, str, str], List[int]],
         results: List[Optional[CounterReport]],
         ticker,
     ) -> None:
-        trace_kernel = self.profiler.trace_kernel
-        if _fused_batching(self.profiler.engine, trace_kernel):
-            # Group pending pairs by workload (stable first-appearance
-            # order, mirroring workload_chunks) so each multi-machine
-            # group goes through the fused engine in one call.  Results
-            # land by input index, so the regrouped compute order can
-            # never change a sweep's output.
-            groups: Dict[Tuple[str, str], List[int]] = {}
-            order: List[Tuple[str, str]] = []
-            for index, (spec, _config) in enumerate(pending):
-                key = (spec.name, content_fingerprint(spec))
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append(index)
-            for key in order:
-                indices = groups[key]
-                if len(indices) == 1:
-                    self._serial_one(
-                        *pending[indices[0]], positions, results, ticker
-                    )
-                    continue
-                spec = pending[indices[0]][0]
-                configs = [pending[i][1] for i in indices]
-                try:
-                    reports = compute_reports(
-                        spec,
-                        configs,
-                        self.profiler.engine,
-                        trace_instructions=self.profiler.trace_instructions,
-                        seed=self.profiler.seed,
-                        trace_kernel=trace_kernel,
-                    )
-                except KeyboardInterrupt:
-                    raise
-                except Exception as error:
-                    labels = ", ".join(
-                        _pair_label(spec, config) for config in configs
-                    )
-                    raise ExecutionError(
-                        f"profiling {labels} failed: {error}"
-                    ) from error
-                for config, report in zip(configs, reports):
-                    self._adopt(spec, config, report, positions, results)
-                    ticker.advance()
-            return
-        for spec, config in pending:
-            self._serial_one(spec, config, positions, results, ticker)
-
-    def _serial_one(
-        self,
-        spec: WorkloadSpec,
-        config: MachineConfig,
-        positions: Dict[Tuple[str, str, str, str], List[int]],
-        results: List[Optional[CounterReport]],
-        ticker,
-    ) -> None:
-        try:
-            report = compute_report(
-                spec,
-                config,
-                self.profiler.engine,
-                trace_instructions=self.profiler.trace_instructions,
-                seed=self.profiler.seed,
-                trace_kernel=self.profiler.trace_kernel,
-                memo=self.profiler.quadrature_memo,
+        # One chunk per workload, so each fused call carries every
+        # pending machine of its workload.  Each chunk is adopted
+        # before the next one starts, so a failure keeps the workloads
+        # that finished before it cached.
+        chunks = _workload_groups(pending)
+        for chunk_index, indices in enumerate(chunks):
+            payload = self._payload(
+                chunk_index, [pending[i] for i in indices], None, None
             )
-        except KeyboardInterrupt:
-            raise
-        except Exception as error:
-            raise ExecutionError(
-                f"profiling {_pair_label(spec, config)} failed: {error}"
-            ) from error
-        self._adopt(spec, config, report, positions, results)
-        ticker.advance()
+            self._collect_chunk(
+                _profile_chunk(payload, memo=self.profiler.quadrature_memo),
+                chunks, pending, positions, results, ticker, {},
+            )
 
     def _run_pool(
         self,
@@ -588,18 +500,11 @@ class ProfilingExecutor:
             # never holds every chunk's pair tuples in flight at once —
             # only the bounded submission window below exists at a time.
             for chunk_index, indices in enumerate(chunks):
-                yield (
+                yield self._payload(
                     chunk_index,
-                    self.profiler.engine,
-                    self.profiler.trace_instructions,
-                    self.profiler.seed,
-                    self.profiler.trace_kernel,
                     [pending[i] for i in indices],
                     context,
-                    os.getpid(),
-                    self.profile,
                     telemetry,
-                    None,
                 )
 
         window = max(1, self.jobs * _CHUNKS_PER_WORKER)
@@ -645,9 +550,14 @@ class ProfilingExecutor:
                         # shadows the adoption (and disk-cache landing)
                         # of chunks that completed alongside it.
                         for future in sorted(done, key=futures.__getitem__):
-                            del futures[future]
+                            chunk_index = futures.pop(future)
+                            obs_metrics.adjust_gauge(
+                                "executor.pool.inflight", -1
+                            )
+                            if hub is not None:
+                                hub.chunk_collected(chunk_index)
                             self._collect_chunk(
-                                future, chunks, pending, positions,
+                                future.result(), chunks, pending, positions,
                                 results, ticker, remote_spans,
                             )
                     # Submission and collection both happen on this
@@ -681,7 +591,7 @@ class ProfilingExecutor:
 
     def _collect_chunk(
         self,
-        future: Future,
+        chunk: _ChunkResult,
         chunks: List[List[int]],
         pending: List[Pair],
         positions: Dict[Tuple[str, str, str, str], List[int]],
@@ -692,11 +602,7 @@ class ProfilingExecutor:
         # Chunks are adopted as they complete; which slot a report
         # fills depends only on its input index, so completion order
         # affects wall time, never results.
-        chunk_index, outcomes, extras = future.result()
-        obs_metrics.adjust_gauge("executor.pool.inflight", -1)
-        hub = obs_live.active_hub()
-        if hub is not None:
-            hub.chunk_collected(chunk_index)
+        chunk_index, outcomes, extras = chunk
         if extras["queue_wait_s"] is not None:
             if self.profile != "off":
                 # --profile without --obs: the gated helper would
@@ -720,18 +626,19 @@ class ProfilingExecutor:
                 _tag, label, worker_trace = outcome
                 failures.append((label, worker_trace))
                 continue
-            pair_index = chunks[chunk_index][offset]
-            spec, config = pending[pair_index]
-            self._adopt(spec, config, outcome[1], positions, results)
+            spec, config = pending[chunks[chunk_index][offset]]
+            self.profiler.adopt(spec, config, outcome[1])
+            for index in positions[pair_key(spec, config)]:
+                results[index] = outcome[1]
+            obs_metrics.incr("executor.tasks.completed")
             ticker.advance()
         if failures:
-            # A fused batch marshals one error per member pair;
+            # A failing run marshals one error per member pair;
             # aggregate so the exception names every failed
             # workload@machine, not just the first.
             labels = ", ".join(label for label, _ in failures)
             raise ExecutionError(
-                f"profiling {labels} failed in a pool worker:\n"
-                f"{failures[0][1]}"
+                f"profiling {labels} failed:\n{failures[0][1]}"
             )
 
     @staticmethod

@@ -108,8 +108,9 @@ def compute_report(
 ) -> CounterReport:
     """Run one engine on one (workload, machine) pair, uncached.
 
-    Module-level (hence picklable by reference) so pool workers and the
-    serial path share the exact same computation, spans included.
+    Module-level (hence picklable by reference); the per-pair reference
+    behind :meth:`Profiler.profile` and every unfused
+    :func:`compute_reports` batch.
     ``trace_kernel`` selects the trace engine's implementation
     (``"vector"`` fused replay or the ``"scalar"`` oracle; ``None``
     means the session default) and is ignored by the analytic engine.
@@ -145,19 +146,28 @@ def compute_reports(
     trace_instructions: int = 200_000,
     seed: int = 2017,
     trace_kernel: Optional[str] = None,
+    memo: Optional[Dict[tuple, float]] = None,
 ) -> List[CounterReport]:
     """Run one engine on one workload across a batch of machines.
 
-    The batched sibling of :func:`compute_report`: for the trace engine
-    this hands the whole machine batch to
-    :func:`repro.perf.trace_engine.profile_trace_batch`, which under
-    the vector kernel set-partitions each shared trace once and replays
-    all machines' tag arrays together (bit-identical to the per-pair
-    path).  Other engines, and single-machine batches, fall back to
-    per-pair :func:`compute_report` calls so their span shapes are
-    unchanged.
+    The batched sibling of :func:`compute_report` and the only place
+    that chooses fused replay: a trace-engine batch of more than one
+    machine under the ``vector`` kernel goes to
+    :func:`repro.perf.trace_engine.profile_trace_batch`, which
+    set-partitions each shared trace once and replays all machines'
+    tag arrays together (bit-identical to the per-pair path).  Every
+    other batch — the analytic engine, the scalar oracle, a single
+    machine — is one :func:`compute_report` call per machine, so each
+    keeps its per-pair ``profile`` span.  ``memo`` is passed through to
+    those calls.
     """
-    if engine != "trace" or len(configs) <= 1:
+    from repro.uarch.kernels import resolve_trace_kernel
+
+    if (
+        engine != "trace"
+        or len(configs) <= 1
+        or resolve_trace_kernel(trace_kernel) != "vector"
+    ):
         return [
             compute_report(
                 spec,
@@ -166,6 +176,7 @@ def compute_reports(
                 trace_instructions=trace_instructions,
                 seed=seed,
                 trace_kernel=trace_kernel,
+                memo=memo,
             )
             for config in configs
         ]

@@ -12,11 +12,9 @@ from repro.campaign import (
     CampaignConfig,
     CampaignRunner,
     CampaignStore,
-    Stage,
     generate_machines,
     machines_digest,
     pair_digest,
-    resolve_stages,
     structure_key,
 )
 from repro.campaign.runner import _SHARD_SCHEMA, _load_checksummed
@@ -193,36 +191,6 @@ class TestStore:
 
 
 # ----------------------------------------------------------------------
-# stage DAG
-# ----------------------------------------------------------------------
-
-
-class TestStages:
-    def test_topological_order_is_deterministic(self):
-        stages = [
-            Stage("fold", ("a", "b")),
-            Stage("b", ("generate",)),
-            Stage("generate"),
-            Stage("a", ("generate",)),
-        ]
-        ordered = [stage.name for stage in resolve_stages(stages)]
-        # Declaration order breaks ties among ready stages.
-        assert ordered == ["generate", "b", "a", "fold"]
-
-    def test_cycle_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="cycle"):
-            resolve_stages([Stage("a", ("b",)), Stage("b", ("a",))])
-
-    def test_unknown_dependency_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown"):
-            resolve_stages([Stage("a", ("ghost",))])
-
-    def test_duplicate_names_are_rejected(self):
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            resolve_stages([Stage("a"), Stage("a")])
-
-
-# ----------------------------------------------------------------------
 # runner
 # ----------------------------------------------------------------------
 
@@ -277,12 +245,22 @@ class TestRunner:
         assert summary["digest"] is not None
         assert summary["analysis"]["machines_analyzed"] == 8
 
-    def test_plan_is_generate_shards_fold(self):
-        runner = CampaignRunner("unused", config=_config())
-        names = [stage.name for stage in runner.plan()]
-        assert names[0] == "generate"
-        assert names[-1] == "fold"
-        assert names[1:-1] == ["shard-0000", "shard-0001", "shard-0002"]
+    def test_run_is_generate_shards_fold(self, tmp_path):
+        obs.enable()
+        CampaignRunner(tmp_path / "camp", config=_config()).run()
+        obs.disable()
+        (root,) = obs.finished_roots()
+        steps = [
+            (child.name, child.attributes.get("shard"))
+            for child in root.children
+        ]
+        assert steps == [
+            ("campaign.generate", None),
+            ("campaign.shard", 0),
+            ("campaign.shard", 1),
+            ("campaign.shard", 2),
+            ("campaign.fold", None),
+        ]
 
     def test_resume_skips_completed_shards_with_identical_digest(
         self, tmp_path
@@ -373,20 +351,6 @@ class TestRunner:
         )
         with pytest.raises(ConfigurationError, match="at least two"):
             runner.fold()
-
-    def test_shard_ledger_recording(self, tmp_path):
-        runner = CampaignRunner(
-            tmp_path / "camp",
-            config=_config(machines=3, shard_machines=3),
-            ledger=True,
-            ledger_dir=tmp_path / "obs",
-        )
-        runner.run()
-        from repro.obs import history
-
-        runs = history.list_runs(directory=tmp_path / "obs")
-        assert len(runs) == 1
-        assert runs[0].command == "campaign-shard"
 
     def test_pair_digest_is_content_sensitive(self, tmp_path):
         from repro.perf.profiler import Profiler
@@ -497,6 +461,48 @@ class TestCampaignCli:
         assert main(["campaign", "fold", directory, "--json"]) == 0
         analysis = json.loads(capsys.readouterr().out)
         assert analysis["machines_analyzed"] == 6
+
+    def test_observed_run_is_one_ledger_record(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import main
+        from repro.obs import history
+
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
+        assert main([
+            "campaign", "run", str(tmp_path / "camp"),
+            "--machines", "6", "--shard-machines", "3",
+            "--workloads", "505.mcf_r,557.xz_r",
+            "--engine", "analytic", "--clusters", "3",
+            "--obs", "summary",
+        ]) == 0
+        # One record for the whole run, not one per shard: it carries
+        # the run's real elapsed time and both shards' spans.
+        (run,) = history.list_runs()
+        assert run.command == "campaign"
+        assert run.elapsed_s > 0.0
+        manifest = history.load_run("latest")["manifest"]
+        assert set(manifest["stages"]) == {"campaign.run"}
+        shard_spans = manifest["metrics"]["histograms"][
+            "span.campaign.shard.wall_seconds"
+        ]
+        assert shard_spans["count"] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["run", "{dir}", "--machines", "2", "--engine", "analytic"],
+            ["resume", "{dir}"],
+        ),
+        ids=("run", "resume"),
+    )
+    def test_ledger_flag_is_gone(self, tmp_path, capsys, argv):
+        from repro.cli import main
+
+        argv = [arg.format(dir=tmp_path / "camp") for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", *argv, "--ledger"])
+        assert excinfo.value.code == 2
 
     def test_status_of_missing_campaign_fails_cleanly(self, tmp_path, capsys):
         from repro.cli import main

@@ -110,7 +110,8 @@ class TestBackendEquivalence:
 
 class TestWorkerFailure:
     def _crashing(self, monkeypatch, fail_on: str):
-        import repro.perf.executor as mod
+        # Chunks reach the per-pair engine through compute_reports.
+        import repro.perf.profiler as mod
 
         real = mod.compute_report
 
@@ -168,9 +169,75 @@ class TestWorkerFailure:
         assert "@" in str(excinfo.value)
 
 
+class TestInlineChunks:
+    """``jobs=1`` runs the pool's chunk code in-process."""
+
+    def test_one_fused_call_per_workload(self, monkeypatch):
+        import repro.perf.executor as mod
+
+        real = mod.compute_reports
+        calls = []
+
+        def counting(spec, configs, engine, **kwargs):
+            calls.append((spec.name, [config.name for config in configs]))
+            return real(spec, configs, engine, **kwargs)
+
+        monkeypatch.setattr(mod, "compute_reports", counting)
+        # Machine-major input: the workload grouping must still hand
+        # each workload's machines to one call.
+        machine_major = [(w, m) for m in MACHINES for w in WORKLOADS]
+        # Explicit vector kernel so fused batching stays active under
+        # the scalar-oracle CI environment.
+        profiler = Profiler(
+            engine="trace", trace_instructions=2_000, trace_kernel="vector"
+        )
+        ProfilingExecutor(profiler, jobs=1).run(machine_major)
+        assert calls == [(w, list(MACHINES)) for w in WORKLOADS]
+
+    def test_serial_sweep_span_has_chunk_children(self):
+        obs.enable()
+        ProfilingExecutor(Profiler(), jobs=1).run(pairs())
+        obs.disable()
+        (root,) = obs.finished_roots()
+        assert root.name == "executor.sweep"
+        assert [child.name for child in root.children] == [
+            "executor.chunk"
+        ] * len(WORKLOADS)
+        assert [child.attributes["pairs"] for child in root.children] == [
+            len(MACHINES)
+        ] * len(WORKLOADS)
+
+    def test_failing_workload_keeps_earlier_groups_cached(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.perf.profiler as mod
+
+        real = mod.compute_report
+
+        def flaky(spec, config, engine, **kwargs):
+            if spec.name == WORKLOADS[1]:
+                raise RuntimeError("simulated engine crash")
+            return real(spec, config, engine, **kwargs)
+
+        monkeypatch.setattr(mod, "compute_report", flaky)
+        profiler = Profiler(cache_dir=tmp_path)
+        with pytest.raises(ExecutionError, match=WORKLOADS[1]):
+            ProfilingExecutor(profiler, jobs=1).run(pairs())
+        monkeypatch.undo()
+        # The first workload's chunk was adopted before the second
+        # one failed: it is cached in memory and on disk.
+        assert profiler.cache_info().size == len(MACHINES)
+        warm = Profiler(cache_dir=tmp_path)
+        for machine in MACHINES:
+            assert warm.lookup(get_workload(WORKLOADS[0]), get_machine(machine))
+            assert warm.lookup(
+                get_workload(WORKLOADS[1]), get_machine(machine)
+            ) is None
+
+
 class TestCancellation:
     def test_cancel_leaves_no_partial_cache_files(self, monkeypatch, tmp_path):
-        import repro.perf.executor as mod
+        import repro.perf.profiler as mod
 
         real = mod.compute_report
         state = {"calls": 0}

@@ -108,12 +108,16 @@ class TestHubLifecycle:
         assert obs_live.active_hub() is None
 
     def test_stall_threshold_env_override(self, monkeypatch):
-        monkeypatch.setenv(obs_live.STALL_THRESHOLD_ENV, "2.5")
+        # The REPRO_STALL_THRESHOLD environment override is retired: only
+        # the constructor argument moves the threshold off the default.
+        monkeypatch.setenv("REPRO_STALL_THRESHOLD", "2.5")
         hub = obs_live.LiveHub()
-        assert hub.stall_threshold_s == 2.5
+        assert hub.stall_threshold_s == obs_live.DEFAULT_STALL_THRESHOLD_S
+        assert obs_live.LiveHub(stall_threshold_s=2.5).stall_threshold_s == 2.5
 
     def test_bad_stall_threshold_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv(obs_live.STALL_THRESHOLD_ENV, "banana")
+        # A junk value in the retired variable is never parsed.
+        monkeypatch.setenv("REPRO_STALL_THRESHOLD", "banana")
         hub = obs_live.LiveHub()
         assert hub.stall_threshold_s == obs_live.DEFAULT_STALL_THRESHOLD_S
 
